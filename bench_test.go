@@ -235,6 +235,31 @@ func BenchmarkGPFit(b *testing.B) {
 	}
 }
 
+// BenchmarkGPRefitGrowing replays the refits of an iTuned session: one
+// hyperparameter-searched Fit after each round of 4 observations, at
+// n = 10, 14, …, 58. fresh fits a new GP every round, so all 105 grid
+// candidates are factored from scratch each time; cached refits one GP,
+// whose grid borders each candidate's factor by the 4 new rows instead.
+func BenchmarkGPRefitGrowing(b *testing.B) {
+	xs, ys := surrogateTrainingSet(58, 5)
+	for _, mode := range []string{"fresh", "cached"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g := gp.New(gp.Matern52)
+				for n := 10; n <= len(xs); n += 4 {
+					if mode == "fresh" {
+						g = gp.New(gp.Matern52)
+					}
+					if err := g.Fit(xs[:n], ys[:n], true); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSurrogateFit compares the three surrogate tiers on identical
 // training sets with fixed hyperparameters (optimize=false everywhere):
 // pure conditioning cost, exact O(n³) vs sparse O(nm²) vs RFF O(nD²). The

@@ -36,6 +36,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -237,11 +238,10 @@ func main() {
 	// the repository at every batch boundary and picked back up on the next
 	// invocation with the same flags: the history replays into a fresh
 	// proposer, so the continued run is identical to an uninterrupted one.
-	var ckptSID string
+	var ckpt *checkpointer
 	var ckptHook func(tune.CheckpointState)
 	var replay *tune.Replay
 	if *resume {
-		ckptSID = cliCheckpointID(*system, *wl, *tuner, *fidelity, *seed)
 		meta, merr := json.Marshal(map[string]any{
 			"system": *system, "workload": *wl, "tuner": *tuner,
 			"fidelity": *fidelity, "seed": *seed, "trials": *trials,
@@ -249,22 +249,22 @@ func main() {
 		if merr != nil {
 			fatal(merr)
 		}
+		ckpt = &checkpointer{
+			st: st, sid: cliCheckpointID(*system, *wl, *tuner, *fidelity, *seed),
+			meta: meta, warn: os.Stderr,
+		}
 		if cps, cerr := st.Checkpoints(); cerr == nil {
 			for _, cp := range cps {
-				if cp.SID == ckptSID && len(cp.Replay.Trials) > 0 {
+				if cp.SID == ckpt.sid && len(cp.Replay.Trials) > 0 {
 					r := cp.Replay
 					replay = &r
+					ckpt.durable = len(r.Trials)
 					fmt.Printf("resuming from checkpoint: %d trials already observed\n", len(r.Trials))
 					break
 				}
 			}
 		}
-		ckptHook = func(cs tune.CheckpointState) {
-			_ = st.SaveCheckpoint(store.SessionCheckpoint{
-				SID: ckptSID, Spec: meta, Replay: cs.Replay(),
-				Trials: len(cs.Trials), UpdatedAt: time.Now(),
-			})
-		}
+		ckptHook = ckpt.save
 	}
 	eng := repro.NewEngine(repro.EngineOptions{
 		Workers: *parallel, Cache: *memo, CacheCap: *memoCap, Remote: remote,
@@ -312,12 +312,18 @@ func main() {
 	} else {
 		res, err = eng.Tune(ctx, target, tn, budget)
 	}
+	if ckpt != nil {
+		fmt.Println(ckpt.summary())
+	}
 	if err != nil {
 		fatal(err)
 	}
-	if *resume {
+	if ckpt != nil {
 		// The session completed; its checkpoint has nothing left to resume.
-		_ = st.DeleteCheckpoint(ckptSID)
+		// With no checkpoint ever durable there is none to remove.
+		if err := st.DeleteCheckpoint(ckpt.sid); err != nil && ckpt.durable > 0 {
+			fmt.Fprintf(os.Stderr, "autotune: removing the finished session's checkpoint: %v (a later -resume would replay it)\n", err)
+		}
 	}
 	if st != nil && len(res.Trials) > 0 {
 		id, err := st.Append(tune.NewSessionRecord(*system, *wl, features, res))
@@ -374,6 +380,46 @@ func main() {
 			fmt.Printf("  %3d %.1f\n", i+1, v)
 		}
 	}
+}
+
+// checkpointer writes the -resume checkpoint at every batch boundary. A
+// failed write leaves the session resumable only from the last checkpoint
+// that landed, so the first failure of each failing streak is reported on
+// warn with its trial count, and the final summary names the last trial
+// durably checkpointed.
+type checkpointer struct {
+	st      store.Store
+	sid     string
+	meta    json.RawMessage
+	warn    io.Writer
+	durable int  // trials covered by the last checkpoint written
+	failed  int  // checkpoint writes that failed
+	failing bool // the latest write failed
+}
+
+func (c *checkpointer) save(cs tune.CheckpointState) {
+	n := len(cs.Trials)
+	err := c.st.SaveCheckpoint(store.SessionCheckpoint{
+		SID: c.sid, Spec: c.meta, Replay: cs.Replay(), Trials: n, UpdatedAt: time.Now(),
+	})
+	if err == nil {
+		c.durable, c.failing = n, false
+		return
+	}
+	c.failed++
+	if !c.failing {
+		fmt.Fprintf(c.warn, "autotune: checkpoint at trial %d failed, resumable only from trial %d until one succeeds: %v\n",
+			n, c.durable, err)
+	}
+	c.failing = true
+}
+
+// summary states the last trial durably checkpointed.
+func (c *checkpointer) summary() string {
+	if c.failed == 0 {
+		return fmt.Sprintf("checkpoint: durable through trial %d", c.durable)
+	}
+	return fmt.Sprintf("checkpoint: durable through trial %d; %d checkpoint writes failed", c.durable, c.failed)
 }
 
 // cliCheckpointID names the resume checkpoint for one flag combination: two

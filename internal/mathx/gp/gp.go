@@ -4,7 +4,7 @@
 // functions. It is the statistical engine behind the iTuned and OtterTune
 // reproductions.
 //
-// The hot path is organized around two caches that exploit the kernel
+// The hot path is organized around three caches that exploit the kernel
 // algebra. First, both kernels depend on the inputs only through pairwise
 // squared distances, so Fit computes the n×n distance matrix once and every
 // kernel matrix derives from it. Second, the hyperparameter grid factors:
@@ -14,7 +14,18 @@
 //
 // so the 7×5×3 grid needs only 7 transcendental-heavy kernel builds — one
 // per lengthscale — with each of the 105 candidates costing a scale, a
-// diagonal add, and a Cholesky factorization into reused workspaces.
+// diagonal add, and a Cholesky factorization. Third, each candidate's
+// factor is kept, packed, between optimizing Fits: K depends only on the
+// inputs, so when a refit's rows extend the previous fit's rows bit for
+// bit — a tuning session only ever appends observations — each factor is
+// bordered by the new rows in O(k·n²) instead of refactored in O(n³), and
+// only the forward solve against the re-standardized targets and the
+// log-determinant are recomputed. Bordering is bit-identical to factoring
+// from scratch, so the selected hyperparameters never depend on the cache.
+// It is invalidated per candidate when that candidate needed jitter, and
+// wholesale when the rows change, shrink, or outgrow gridCacheMaxN, or a
+// Fit skips the search. It is kept only once a GP is refit on extended
+// rows, and costs 105·n(n+1)/2 float64s — about 1.5 MB at n = 60.
 //
 // A fitted GP can also absorb one new observation with unchanged
 // hyperparameters in O(n²) via Append, which extends the Cholesky factor by
@@ -78,6 +89,7 @@ type GP struct {
 	chol   *linalg.Cholesky
 	alpha  []float64
 	jitter float64 // extra diagonal jitter the factorization needed
+	grid   *gridCache
 
 	// Reusable workspaces for Predict/EI/LCB (kernel vector and solve
 	// scratch). These make single-point prediction allocation-free but make
@@ -89,14 +101,21 @@ type GP struct {
 // New returns a GP with the given kernel and reasonable default
 // hyperparameters (tuned during Fit when optimize is requested).
 func New(kernel KernelKind) *GP {
-	return &GP{Kernel: kernel, Hyper: Hyper{SignalVar: 1, Lengthscale: 0.3, NoiseStd: 0.1}}
+	return &GP{Kernel: kernel, Hyper: defaultHyper}
 }
 
+// defaultHyper is a new GP's starting point, and what an optimizing Fit
+// keeps when no grid candidate can be factored.
+var defaultHyper = Hyper{SignalVar: 1, Lengthscale: 0.3, NoiseStd: 0.1}
+
 // Fit conditions the GP on (x, y). If optimize is true, hyperparameters are
-// selected by grid search over log-marginal likelihood; otherwise the current
-// hyperparameters are used. The rows of x are deep-copied, so the caller may
-// mutate them afterwards without corrupting the model. It returns an error
-// when the kernel matrix cannot be factorized even with jitter.
+// selected by grid search over log-marginal likelihood, independent of the
+// current ones, so refitting a GP is bit-identical to fitting a new one
+// (and cheaper, when x extends the rows of the previous optimizing Fit);
+// otherwise the current hyperparameters are used. The rows of x are
+// deep-copied, so the caller may mutate them afterwards without corrupting
+// the model. It returns an error when the kernel matrix cannot be
+// factorized even with jitter.
 func (g *GP) Fit(x [][]float64, y []float64, optimize bool) error {
 	if len(x) != len(y) {
 		return errors.New("gp: x and y length mismatch")
@@ -123,8 +142,15 @@ func (g *GP) Fit(x [][]float64, y []float64, optimize bool) error {
 		g.ys[i] = (v - g.yMean) / g.yStd
 	}
 	g.buildD2()
-	if optimize {
-		g.optimizeHypers()
+	if !optimize {
+		g.grid = nil
+		return g.refit()
+	}
+	if f := g.optimizeHypers(); f != nil {
+		// The selected candidate's cached factor is the one refit would
+		// compute: the same matrix, factored without jitter.
+		g.setFactor(f.Dense(), 0)
+		return nil
 	}
 	return g.refit()
 }
@@ -183,34 +209,23 @@ func (g *GP) baseKernelInto(b *linalg.Matrix, l float64) {
 	}
 }
 
-// factorInPlaceWithJitter factors k into l, adding exponentially growing
-// jitter to k's diagonal until factorization succeeds (the workspace form of
-// linalg.CholeskyWithJitter; k is scratch and may be mutated).
-func factorInPlaceWithJitter(k, l *linalg.Matrix, jitter float64, maxTries int) (float64, bool) {
-	added := 0.0
-	for try := 0; try < maxTries; try++ {
-		if linalg.CholeskyInto(k, l) == nil {
-			return added, true
-		}
-		step := jitter * math.Pow(10, float64(try))
-		k.AddDiag(step)
-		added += step
-	}
-	return added, false
-}
-
-// refit factors the kernel matrix for the current hyperparameters and solves
-// for alpha. The kernel matrix derives from the distance cache.
-func (g *GP) refit() error {
+// kernelMatrix builds K(σ², ℓ, σ_n) = σ²·B(ℓ) + (σ_n² + ε)·I from the
+// distance cache, for signal variance sv, lengthscale l and noise σ_n².
+func (g *GP) kernelMatrix(sv, l, noise float64) *linalg.Matrix {
 	n := g.x.R
 	k := linalg.New(n, n)
-	g.baseKernelInto(k, g.Hyper.Lengthscale)
-	sv := g.Hyper.SignalVar
+	g.baseKernelInto(k, l)
 	for i := range k.Data {
 		k.Data[i] *= sv
 	}
-	noise := g.Hyper.NoiseStd * g.Hyper.NoiseStd
-	k.AddDiag(noise + 1e-8)
+	return k.AddDiag(noise + 1e-8)
+}
+
+// refit factors the kernel matrix for the current hyperparameters and solves
+// for alpha.
+func (g *GP) refit() error {
+	n := g.x.R
+	k := g.kernelMatrix(g.Hyper.SignalVar, g.Hyper.Lengthscale, g.Hyper.NoiseStd*g.Hyper.NoiseStd)
 	var (
 		ch    *linalg.Cholesky
 		added float64
@@ -231,12 +246,19 @@ func (g *GP) refit() error {
 		g.chol = nil
 		return err
 	}
+	g.setFactor(ch, added)
+	return nil
+}
+
+// setFactor installs ch, the factor of the kernel matrix with added jitter,
+// and solves for alpha.
+func (g *GP) setFactor(ch *linalg.Cholesky, added float64) {
+	n := ch.L.R
 	g.chol = ch
 	g.jitter = added
 	g.alpha = resize(g.alpha, n)
 	ch.SolveVecInto(g.alpha, g.ys)
 	g.growWorkspaces(n)
-	return nil
 }
 
 // Append conditions a fitted GP on one more observation without changing
@@ -332,52 +354,189 @@ func (g *GP) logMarginal() float64 {
 	return -0.5*linalg.Dot(g.ys, g.alpha) - 0.5*g.chol.LogDet() - 0.5*n*math.Log(2*math.Pi)
 }
 
-// optimizeHypers grid-searches lengthscale × noise × signal variance over
-// ranges suited to unit-cube inputs and standardized outputs. The grid is
-// factored: one base kernel build per lengthscale, then each (noise, signal)
-// candidate is a scale plus diagonal add into reused workspaces — 7 kernel
-// builds for 105 candidates instead of 105.
-func (g *GP) optimizeHypers() {
-	lengths := []float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2}
-	noises := []float64{0.01, 0.05, 0.1, 0.2, 0.4}
-	signals := []float64{0.5, 1.0, 2.0}
+// The hyperparameter grid, over ranges suited to unit-cube inputs and
+// standardized outputs: 7 lengthscales × 5 noise levels × 3 signal
+// variances, enumerated in that nesting order (the argmax keeps the first
+// of equal likelihoods, so the order is part of the result).
+var (
+	gridLengths = [...]float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2}
+	gridNoises  = [...]float64{0.01, 0.05, 0.1, 0.2, 0.4}
+	gridSignals = [...]float64{0.5, 1.0, 2.0}
+)
+
+const (
+	gridPerLength = len(gridNoises) * len(gridSignals)
+	gridSize      = len(gridLengths) * gridPerLength
+
+	// gridCacheMaxN bounds the training sets whose candidate factors the
+	// grid keeps between Fits: 105 packed factors cost 105·n(n+1)/2
+	// float64s, about 1.5 MB at n = 60 and 6.9 MB at this bound. The
+	// model-based tuners stop searching hyperparameters on the exact tier
+	// well below it (iTuned past 60 observations, OtterTune past 80).
+	gridCacheMaxN = 128
+)
+
+// gridCache carries the hyperparameter grid from one optimizing Fit to the
+// next. Each candidate's kernel matrix depends only on the training inputs,
+// and a refit in a tuning session only appends rows, so a candidate's
+// Cholesky factor can be bordered by the new rows instead of refactored;
+// only the forward solve against the re-standardized targets and the
+// log-determinant are recomputed. Factors are kept once a GP is refit on
+// rows that extend the ones it was fit on before, so a GP fit once pays
+// for one factor, not 105.
+type gridCache struct {
+	kernel KernelKind
+	d      int
+	x      []float64 // the training rows the cache was synced to, row-major
+	// factors holds one packed factor per candidate, in grid order, each
+	// covering all of x or nothing: an empty factor (the candidate needed
+	// jitter, or x changed) is factored from its first row next time. nil
+	// while no factors are kept.
+	factors []linalg.PackedCholesky
+	one     linalg.PackedCholesky // the factor of every candidate when none are kept
+	base    []float64             // packed base-kernel rows for one lengthscale
+	rows    []float64             // packed candidate-kernel rows being bordered on
+	z       []float64             // L⁻¹y
+}
+
+// sync records x as the training rows and returns the factors this Fit
+// borders — nil when it keeps none. Kept factors survive only if x extends
+// the previous rows bit for bit under the same kernel; a changed or shrunk
+// prefix empties them for refactoring, and training sets past
+// gridCacheMaxN drop them.
+func (c *gridCache) sync(kernel KernelKind, x *linalg.Matrix) []linalg.PackedCholesky {
+	extends := len(c.x) > 0 && c.kernel == kernel && c.d == x.C && len(c.x) <= len(x.Data)
+	for i := 0; extends && i < len(c.x); i++ {
+		extends = math.Float64bits(c.x[i]) == math.Float64bits(x.Data[i])
+	}
+	if !extends {
+		c.kernel, c.d, c.x = kernel, x.C, c.x[:0]
+		for i := range c.factors {
+			c.factors[i].Reset()
+		}
+	}
+	c.x = append(c.x, x.Data[len(c.x):]...)
+	switch {
+	case x.R > gridCacheMaxN:
+		c.factors = nil
+	case extends && c.factors == nil:
+		c.factors = make([]linalg.PackedCholesky, gridSize)
+	}
+	return c.factors
+}
+
+// basePackedInto writes the packed lower-triangular rows lo..n−1 of the
+// unit-signal-variance kernel matrix for lengthscale l into dst, with
+// baseKernelInto's arithmetic.
+func (g *GP) basePackedInto(dst []float64, l float64, lo int) []float64 {
+	n := g.d2.R
+	dd := g.d2.Data
+	dst = dst[:0]
+	switch g.Kernel {
+	case Matern52:
+		for i := lo; i < n; i++ {
+			for _, d2 := range dd[i*n : i*n+i+1] {
+				r := math.Sqrt(d2) / l
+				s5 := sqrt5 * r
+				dst = append(dst, (1+s5+5*r*r/3)*math.Exp(-s5))
+			}
+		}
+	default:
+		twoL2 := 2 * l * l
+		for i := lo; i < n; i++ {
+			for _, d2 := range dd[i*n : i*n+i+1] {
+				dst = append(dst, math.Exp(-d2/twoL2))
+			}
+		}
+	}
+	return dst
+}
+
+// optimizeHypers grid-searches lengthscale × noise × signal variance by log
+// marginal likelihood. The grid factors: one base kernel build per
+// lengthscale, then each (noise, signal) candidate is a scale plus a
+// diagonal add. Each candidate's packed factor is bordered by the rows it
+// does not cover yet — all of them on a first fit, only the appended ones
+// on a refit over an extended training set — with arithmetic bit-identical
+// to factoring the whole matrix, so the selected hyperparameters never
+// depend on the cache. A candidate that is not positive definite without
+// jitter is factored densely with jitter, as refit does, and refactored
+// from scratch next time. If no candidate factors at all, the defaults New
+// sets are kept. It returns the selected candidate's factor when the cache
+// holds it.
+func (g *GP) optimizeHypers() *linalg.PackedCholesky {
+	if g.grid == nil {
+		g.grid = &gridCache{}
+	}
+	c := g.grid
+	factors := c.sync(g.Kernel, g.x)
 	n := g.x.R
-	b := linalg.New(n, n)
-	k := linalg.New(n, n)
-	ch := &linalg.Cholesky{L: linalg.New(n, n)}
-	z := make([]float64, n)
+	c.z = resize(c.z, n)
 	logConst := 0.5 * float64(n) * math.Log(2*math.Pi)
 	best := math.Inf(-1)
-	bestH := g.Hyper
-	for _, l := range lengths {
-		g.baseKernelInto(b, l)
-		for _, nz := range noises {
+	bestH := defaultHyper
+	var bestF *linalg.PackedCholesky
+	for li, l := range gridLengths {
+		// Build only the base rows some candidate of this lengthscale lacks.
+		lo := 0
+		if factors != nil {
+			lo = n
+			for _, f := range factors[li*gridPerLength : (li+1)*gridPerLength] {
+				lo = min(lo, f.N)
+			}
+		}
+		c.base = g.basePackedInto(c.base, l, lo)
+		for ni, nz := range gridNoises {
 			noise := nz * nz
-			for _, sv := range signals {
-				// Only the lower triangle feeds the factorization; scaling
-				// the upper half of the candidate matrix would be wasted.
-				for i := 0; i < n; i++ {
-					brow := b.Data[i*n : i*n+i+1]
-					krow := k.Data[i*n : i*n+i+1]
-					for t, v := range brow {
-						krow[t] = sv * v
+			for si, sv := range gridSignals {
+				f := &c.one
+				if factors != nil {
+					f = &factors[li*gridPerLength+ni*len(gridSignals)+si]
+				} else {
+					f.Reset()
+				}
+				// The candidate matrix's rows f.N..n−1: sv·B(ℓ) with the noise
+				// added to the diagonal, as K(σ², ℓ, σ_n) = σ²·B(ℓ) + (σ_n² + ε)·I.
+				c.rows = c.rows[:0]
+				off := (f.N*(f.N+1) - lo*(lo+1)) / 2
+				for i := f.N; i < n; i++ {
+					for _, v := range c.base[off : off+i] {
+						c.rows = append(c.rows, sv*v)
 					}
+					c.rows = append(c.rows, sv*c.base[off+i]+(noise+1e-8))
+					off += i + 1
 				}
-				k.AddDiag(noise + 1e-8)
-				if _, ok := factorInPlaceWithJitter(k, ch.L, 1e-8, 8); !ok {
-					continue
+				var quad, logDet float64
+				if f.ExtendRows(c.rows) == nil {
+					// yᵀK⁻¹y = ‖L⁻¹y‖²: the forward half of the solve suffices.
+					f.SolveLowerInto(c.z, g.ys)
+					quad, logDet = linalg.Dot(c.z, c.z), f.LogDet()
+				} else {
+					// Not positive definite as it stands: factor the dense
+					// matrix with stepwise jitter, and refactor it from its
+					// first row next time.
+					f.Reset()
+					ch, _, err := linalg.CholeskyWithJitter(g.kernelMatrix(sv, l, noise), 1e-8, 8)
+					if err != nil {
+						continue
+					}
+					ch.SolveLowerInto(c.z, g.ys)
+					quad, logDet = linalg.Dot(c.z, c.z), ch.LogDet()
 				}
-				// yᵀK⁻¹y = ‖L⁻¹y‖²: the forward half of the solve suffices.
-				ch.SolveLowerInto(z, g.ys)
-				lm := -0.5*linalg.Dot(z, z) - 0.5*ch.LogDet() - logConst
+				lm := -0.5*quad - 0.5*logDet - logConst
 				if lm > best {
 					best = lm
 					bestH = Hyper{SignalVar: sv, Lengthscale: l, NoiseStd: nz}
+					bestF = nil
+					if factors != nil && f.N == n {
+						bestF = f
+					}
 				}
 			}
 		}
 	}
 	g.Hyper = bestH
+	return bestF
 }
 
 // Predict returns the posterior mean and standard deviation at point p in

@@ -141,3 +141,19 @@ func (s *SurrogateSelector) New(kernel gp.KernelKind, tier string, seed int64) g
 		return gp.New(kernel)
 	}
 }
+
+// Refit returns the surrogate a re-optimization round fits: prev itself
+// when it is an exact GP of the same kernel and the round stays on the
+// exact tier with a hyperparameter search, and a fresh New otherwise. A
+// carried exact GP borders its hyperparameter grid's cached factors by
+// the rows observed since the last round instead of refactoring them, and
+// its optimizing Fit is bit-identical to a fresh gp.New's. A fresh model
+// drops that cache once a session leaves the exact tier or stops
+// optimizing — which also keeps a non-optimizing refit on New's default
+// hyperparameters rather than the last ones selected.
+func (s *SurrogateSelector) Refit(prev gp.Surrogate, kernel gp.KernelKind, tier string, seed int64, optimize bool) gp.Surrogate {
+	if g, ok := prev.(*gp.GP); ok && optimize && tier == SurrogateExact && g.Kernel == kernel {
+		return g
+	}
+	return s.New(kernel, tier, seed)
+}

@@ -140,11 +140,11 @@ func (p *itunedProposer) ensureModel() bool {
 	p.round++
 	if reopt {
 		tier := p.sel.TierFor(len(p.xs), p.space.Dim())
-		m := p.sel.New(p.t.Kernel, tier, p.t.Seed)
 		// The sparse and RFF tiers select hyperparameters on an inducing
 		// subset — O(m³) — so they can afford the search at every size; the
 		// exact tier keeps its historical n ≤ 60 optimize rule bit-for-bit.
 		optimize := len(p.xs) <= 60 || tier != tune.SurrogateExact
+		m := p.sel.Refit(p.model, p.t.Kernel, tier, p.t.Seed, optimize)
 		if err := m.Fit(p.xs, p.ys, optimize); err != nil {
 			p.model = nil
 			return false

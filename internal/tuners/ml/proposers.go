@@ -92,8 +92,10 @@ func (p *otProposer) ensureModel() bool {
 		// thousand-trial repository session pushes the model straight into
 		// the sparse or RFF tier instead of an O(n³) exact fit.
 		tier := p.sel.TierFor(len(gx), p.space.Dim())
-		m := p.sel.New(gp.Matern52, tier, p.t.Seed)
 		optimize := len(gx) <= 80 || tier != tune.SurrogateExact
+		// gx only grows once mapping is done, so a carried exact GP borders
+		// its grid's factors instead of refactoring them.
+		m := p.sel.Refit(p.model, gp.Matern52, tier, p.t.Seed, optimize)
 		if err := m.Fit(gx, gy, optimize); err != nil {
 			p.model = nil
 			return false
