@@ -129,6 +129,8 @@ type session struct {
 	mu         sync.Mutex
 	archiveID  int64 // repository id once archived
 	archiveErr error
+	ckptTrials int   // trials covered by the last durable checkpoint
+	ckptErr    error // the last checkpoint write's error, nil once one succeeds
 }
 
 // New returns a daemon server scheduling sessions on its own engine. With a
@@ -543,9 +545,14 @@ func (s *Server) startSession(spec repro.Spec, sid string, replay *tune.Replay, 
 		job.CheckpointEvery = s.opts.CheckpointEvery
 		job.Replay = replay
 		job.Checkpoint = func(cs tune.CheckpointState) {
-			_ = s.repo.SaveCheckpoint(store.SessionCheckpoint{
+			err := s.repo.SaveCheckpoint(store.SessionCheckpoint{
 				SID: sid, Spec: rawSpec, Replay: cs.Replay(), Trials: len(cs.Trials), UpdatedAt: time.Now(),
 			})
+			sess.mu.Lock()
+			if sess.ckptErr = err; err == nil {
+				sess.ckptTrials = len(cs.Trials)
+			}
+			sess.mu.Unlock()
 		}
 		if replay == nil {
 			if err := s.repo.SaveCheckpoint(store.SessionCheckpoint{SID: sid, Spec: rawSpec, UpdatedAt: time.Now()}); err != nil {
@@ -608,6 +615,12 @@ type status struct {
 	ArchivedAs int64 `json:"archived_as,omitempty"`
 	// ArchiveError reports a failed archive attempt.
 	ArchiveError string `json:"archive_error,omitempty"`
+	// LastCheckpointTrial is how many trials the session's last durable
+	// checkpoint covers: a restart resumes from there. CheckpointError is
+	// the latest checkpoint write's failure, cleared once a write succeeds.
+	// Both stay empty when the daemon has no repository.
+	LastCheckpointTrial int    `json:"last_checkpoint_trial,omitempty"`
+	CheckpointError     string `json:"checkpoint_error,omitempty"`
 }
 
 type incumbent struct {
@@ -643,6 +656,10 @@ func (sess *session) status() status {
 	st.ArchivedAs = sess.archiveID
 	if sess.archiveErr != nil {
 		st.ArchiveError = sess.archiveErr.Error()
+	}
+	st.LastCheckpointTrial = sess.ckptTrials
+	if sess.ckptErr != nil {
+		st.CheckpointError = sess.ckptErr.Error()
 	}
 	sess.mu.Unlock()
 	return st

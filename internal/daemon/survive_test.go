@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -411,5 +413,57 @@ func TestQueuedSessionSurvivesRestart(t *testing.T) {
 	}
 	if n, _ := st["trials_done"].(float64); n != 3 {
 		t.Errorf("trials_done = %v, want 3", st["trials_done"])
+	}
+}
+
+// TestCheckpointWriteFailuresReported: a checkpoint write that fails
+// mid-session (here the repository's checkpoints/ path is replaced by a
+// regular file) shows in the session status as checkpoint_error, while
+// last_checkpoint_trial keeps naming the last trial a restart would resume
+// from.
+func TestCheckpointWriteFailuresReported(t *testing.T) {
+	dir := t.TempDir()
+	ts, srv := newTestServerWith(t, Options{Workers: 1, RepoDir: dir})
+	// Hyperband checkpoints at every rung boundary, so writes keep coming.
+	id, code, _ := postSpec(t, ts, `{"system": "dbms", "workload": "tpch", "tuner": "random",
+		"seed": 4, "budget": {"trials": 100000}, "fidelity": {"strategy": "hyperband"}}`)
+	if code != http.StatusCreated {
+		t.Fatalf("POST = %d", code)
+	}
+	status := func() map[string]any { return getJSON(t, ts.URL+"/sessions/"+id) }
+	var durable float64
+	waitFor(t, "a durable checkpoint", func() bool {
+		durable, _ = status()["last_checkpoint_trial"].(float64)
+		return durable > 0
+	})
+	if st := status(); st["checkpoint_error"] != nil {
+		t.Fatalf("checkpoint_error before any write failed: %v", st["checkpoint_error"])
+	}
+
+	// Swap the directory for a file while the session is paused, so it
+	// cannot finish before a write hits the blocked path.
+	srv.mu.Lock()
+	run := srv.sessions[id].Run
+	srv.mu.Unlock()
+	run.Pause()
+	ckpts := filepath.Join(dir, "checkpoints")
+	// A write still in flight as the pause lands may recreate the
+	// directory: retry until the file holds the path.
+	waitFor(t, "the checkpoints path to be blocked", func() bool {
+		_ = os.RemoveAll(ckpts)
+		return os.WriteFile(ckpts, nil, 0o644) == nil
+	})
+	run.Resume()
+	waitFor(t, "a failed checkpoint write", func() bool { return status()["checkpoint_error"] != nil })
+	run.Stop()
+
+	st := status()
+	last, _ := st["last_checkpoint_trial"].(float64)
+	done, _ := st["trials_done"].(float64)
+	if last < durable || last >= done {
+		t.Errorf("last_checkpoint_trial = %v, want at least %v (durable before the failure) and under %v trials done", last, durable, done)
+	}
+	if msg, _ := st["checkpoint_error"].(string); !strings.Contains(msg, "checkpoint") {
+		t.Errorf("checkpoint_error = %q, want the store's write error", msg)
 	}
 }

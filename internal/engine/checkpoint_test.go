@@ -35,55 +35,116 @@ func marshaledEvents(t *testing.T, r *Run) [][]byte {
 // mid-run checkpoint — fresh engine, fresh target, fresh proposer, only the
 // checkpoint's observation replay carried over — produces a byte-identical
 // event stream and the identical final incumbent to the uninterrupted run.
+// The memo cases resume with the result memo on: the served prefix must
+// leave the memo (bounded or not) exactly as the uninterrupted session had
+// it, or later repeats would be served differently. The revisiting tuner
+// returns to a handful of configurations, some often, on a target whose
+// noise moves with the run index, so every memo hit or miss shows in the
+// stream, and the bounded memo's eviction order depends on hit counts.
 func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	b := tune.Budget{Trials: 16}
-	job := func(seed int64) Job {
-		return Job{Name: "full", Tuner: experiment.NewITuned(seed), Target: dbmsTarget(seed), Budget: b}
+	ituned := func() Job {
+		return Job{Name: "full", Tuner: experiment.NewITuned(21), Target: dbmsTarget(21), Budget: b}
 	}
+	revisits := func() Job {
+		return Job{Name: "revisit", Tuner: revisitTuner{1, 4, 1, 5, 3, 1, 4, 1, 1, 0, 5, 0, 3, 5, 0, 4}, Target: &indexNoiseTarget{newCountingTarget()}, Budget: b}
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+		job  func() Job
+	}{
+		{"ituned", Options{Workers: 1}, ituned},
+		{"ituned/cache", Options{Workers: 1, Cache: true}, ituned},
+		{"ituned/cache-cap-4", Options{Workers: 1, CacheCap: 4}, ituned},
+		{"revisits/cache", Options{Workers: 1, Cache: true}, revisits},
+		{"revisits/cache-cap-4", Options{Workers: 1, CacheCap: 4}, revisits},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Reference: uninterrupted run, capturing every offered checkpoint.
+			var cps []tune.CheckpointState
+			ref := tc.job()
+			ref.Checkpoint = func(cs tune.CheckpointState) { cps = append(cps, cs) }
+			ref.CheckpointEvery = 1
+			refRun := New(tc.opts).Submit(ref)
+			refEvents := marshaledEvents(t, refRun)
+			refRes, err := refRun.Wait(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cps) == 0 {
+				t.Fatal("no checkpoints offered")
+			}
+			mid := cps[len(cps)/2]
+			if len(mid.Trials) == 0 || len(mid.Trials) >= b.Trials {
+				t.Fatalf("mid checkpoint has %d trials; need a genuinely partial one", len(mid.Trials))
+			}
+			if mid.RunsReserved == 0 {
+				t.Error("checkpoint records no reserved runs")
+			}
+			if ct, ok := ref.Target.(*indexNoiseTarget); ok && ct.calls.Load() >= int64(b.Trials) {
+				t.Fatalf("%d evaluations for %d trials: the memo never hit", ct.calls.Load(), b.Trials)
+			}
 
-	// Reference: uninterrupted run, capturing every offered checkpoint.
-	var cps []tune.CheckpointState
-	ref := job(21)
-	ref.Checkpoint = func(cs tune.CheckpointState) { cps = append(cps, cs) }
-	ref.CheckpointEvery = 1
-	refRun := New(Options{Workers: 1}).Submit(ref)
-	refEvents := marshaledEvents(t, refRun)
-	refRes, err := refRun.Wait(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) == 0 {
-		t.Fatal("no checkpoints offered")
-	}
-	mid := cps[len(cps)/2]
-	if len(mid.Trials) == 0 || len(mid.Trials) >= b.Trials {
-		t.Fatalf("mid checkpoint has %d trials; need a genuinely partial one", len(mid.Trials))
-	}
-	if mid.RunsReserved == 0 {
-		t.Error("checkpoint records no reserved runs")
-	}
+			// Resume: everything rebuilt from scratch except the replay.
+			replay := mid.Replay()
+			resumed := tc.job()
+			resumed.Replay = &replay
+			resRun := New(tc.opts).Submit(resumed)
+			resEvents := marshaledEvents(t, resRun)
+			resRes, err := resRun.Wait(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Resume: everything rebuilt from scratch except the replay.
-	replay := mid.Replay()
-	resumed := job(21)
-	resumed.Replay = &replay
-	resRun := New(Options{Workers: 1}).Submit(resumed)
-	resEvents := marshaledEvents(t, resRun)
-	resRes, err := resRun.Wait(nil)
-	if err != nil {
-		t.Fatal(err)
+			sameResult(t, refRes, resRes, "uninterrupted vs resumed")
+			if len(resEvents) != len(refEvents) {
+				t.Fatalf("resumed stream has %d events, uninterrupted %d", len(resEvents), len(refEvents))
+			}
+			for i := range refEvents {
+				if !bytes.Equal(refEvents[i], resEvents[i]) {
+					t.Fatalf("event %d differs:\n  uninterrupted: %s\n  resumed:       %s",
+						i, refEvents[i], resEvents[i])
+				}
+			}
+		})
 	}
+}
 
-	sameResult(t, refRes, resRes, "uninterrupted vs resumed")
-	if len(resEvents) != len(refEvents) {
-		t.Fatalf("resumed stream has %d events, uninterrupted %d", len(resEvents), len(refEvents))
+// revisitTuner proposes the one-dimensional points k/6 for the listed k,
+// one per batch, in order.
+type revisitTuner []int
+
+func (r revisitTuner) Name() string { return "stub/revisit" }
+func (r revisitTuner) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
+	p, _ := r.NewProposer(target, b)
+	return tune.DriveProposer(ctx, r.Name(), target, b, p)
+}
+func (r revisitTuner) NewProposer(target tune.Target, _ tune.Budget) (tune.Proposer, error) {
+	var pending []tune.Config
+	for _, k := range r {
+		pending = append(pending, target.Space().FromVector([]float64{float64(k) / 6}))
 	}
-	for i := range refEvents {
-		if !bytes.Equal(refEvents[i], resEvents[i]) {
-			t.Fatalf("event %d differs:\n  uninterrupted: %s\n  resumed:       %s",
-				i, refEvents[i], resEvents[i])
-		}
-	}
+	return &oneAtATime{pending: pending}, nil
+}
+
+// oneAtATime proposes its pending configurations one per batch.
+type oneAtATime struct{ pending []tune.Config }
+
+func (p *oneAtATime) Propose(int) []tune.Config { return tune.ProposeFixed(&p.pending, 1) }
+func (p *oneAtATime) Observe(tune.Trial)        {}
+
+// indexNoiseTarget is a countingTarget whose result moves with the run
+// index, so a memo hit and a fresh run of the same configuration differ.
+type indexNoiseTarget struct{ *countingTarget }
+
+func (n *indexNoiseTarget) Run(cfg tune.Config) tune.Result {
+	return n.RunIndexed(n.ReserveRuns(1), cfg)
+}
+func (n *indexNoiseTarget) RunIndexed(i int64, cfg tune.Config) tune.Result {
+	r := n.countingTarget.RunIndexed(i, cfg)
+	r.Time += float64(i) / 1000
+	return r
 }
 
 // TestCheckpointResumeMatchesUninterruptedFidelity: the same guarantee on

@@ -7,7 +7,7 @@ import (
 )
 
 // memo is the evaluator's config-keyed result cache. Both implementations
-// are driven only from the driver goroutine (runBatch makes every cache
+// are driven only from the driver goroutine (evalWindow makes every cache
 // decision in batch order), so neither locks, and both are deterministic:
 // the same sequence of get/put calls produces the same hits, misses, and
 // retained set at any worker count.
@@ -104,8 +104,8 @@ func (c *gdsfMemo) get(key string) (tune.Result, bool) {
 
 func (c *gdsfMemo) put(key string, r tune.Result) {
 	if e, ok := c.byKey[key]; ok {
-		// Refresh in place: runBatch never stores over a hit, but a replayed
-		// history can legitimately re-put a key.
+		// Refresh in place: evalWindow only stores misses, but re-putting a
+		// retained key must not leave a second heap entry behind.
 		e.res = r
 		e.pri = c.clock + float64(e.freq)*gdsfCost(r)
 		heap.Fix(&c.h, e.idx)

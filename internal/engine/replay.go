@@ -6,49 +6,62 @@ import (
 	"repro/internal/tune"
 )
 
-// This file is the crash-resume mechanics shared by Drive and DriveFidelity:
-// replaying a checkpointed observation history into a fresh proposer, and
-// offering batch-boundary checkpoints to the configured sink. See
-// internal/tune/checkpoint.go for why resume-by-observation-replay is exact.
+// This file is the crash-resume mechanics: serving a checkpointed
+// observation history to the drive loop, and offering batch-boundary
+// checkpoints to the configured sink. See internal/tune/checkpoint.go for
+// why resume-by-observation-replay is exact.
 //
-// Replay mirrors the live drive loop — it asks the proposer for batches and
-// verifies each proposed configuration against the recorded history instead
-// of evaluating it. Observe-only replay would not work: proposers mutate
-// state on Propose as well as on Observe (a fixed-schedule proposer pops its
-// pending queue, a model-based one advances its design phase), so skipping
-// the proposals would leave the resumed proposer out of sync with the one
-// that produced the checkpoint.
+// Replay is not a loop of its own. The fresh proposer runs on the same
+// drive loop as a live session, and for the checkpointed prefix the
+// evaluator serves the recorded results instead of evaluating, after
+// verifying each proposed candidate against the recording. Observe-only
+// replay would not work: proposers mutate state on Propose as well as on
+// Observe (a fixed-schedule proposer pops its pending queue, a model-based
+// one advances its design phase), so skipping the proposals would leave the
+// resumed proposer out of sync with the one that produced the checkpoint.
+// Served results pass through the memo exactly as evaluated ones do, so the
+// memo a resumed session continues with is the one the uninterrupted
+// session had.
 
-// runReserver is the slice of ConcurrentTarget/ConcurrentFidelityTarget the
-// resume path needs: the reserved-run counter.
-type runReserver interface {
-	ReserveRuns(n int64) int64
-}
-
-// reservedRuns reads the counter without reserving anything: ReserveRuns(n)
-// returns the first index of the reserved block (1-based), so a zero-width
-// block starts one past the last reserved index.
-func reservedRuns(rr runReserver) int64 {
-	return rr.ReserveRuns(0) - 1
-}
-
-// restoreReserved advances the target's run counter to the checkpointed
-// value, so every post-resume evaluation draws the same noise index it
-// would have drawn in the uninterrupted run. Replayed trials consume no
-// target runs themselves (they are recorded, not evaluated), which is why
-// the counter must be restored explicitly.
-func restoreReserved(rr runReserver, want int64) {
-	if d := want - reservedRuns(rr); d > 0 {
-		rr.ReserveRuns(d)
+// replayBatch checks that the fresh proposer's batch matches the next
+// recorded trials bitwise (configuration and fidelity) and returns them.
+// Once the whole recording is served it restores the target's run counter:
+// served trials consume no runs, and the first live evaluation must draw
+// the noise index it drew in the uninterrupted run.
+func (ev *evaluator) replayBatch(cands []tune.Candidate) ([]tune.ReplayTrial, error) {
+	all, at := ev.replay.Trials, ev.replayed
+	if len(cands) > len(all)-at {
+		return nil, replayErr(at, len(all), "checkpoint ends mid-batch (checkpoints are only written at batch boundaries — is this a checkpoint from a different spec?)")
 	}
+	for k, c := range cands {
+		rt := all[at+k]
+		if !vectorsEqual(c.Config.Vector(), rt.Vector) || normFidelity(c.Fidelity) != normFidelity(rt.Result.Fidelity) {
+			return nil, replayErr(at+k, len(all), "fresh proposer diverged from the checkpointed history (spec, seed, or warm-start corpus changed since the checkpoint)")
+		}
+	}
+	ev.replayed += len(cands)
+	if ev.replayed == len(all) {
+		if d := ev.replay.RunsReserved - reservedRuns(ev.ct); d > 0 {
+			ev.ct.ReserveRuns(d)
+		}
+		ev.replay = nil
+	}
+	return all[at:ev.replayed], nil
+}
+
+// reservedRuns reads the run counter without reserving anything:
+// ReserveRuns(n) returns the first index of the reserved block (1-based),
+// so a zero-width block starts one past the last reserved index.
+func reservedRuns(ct tune.ConcurrentTarget) int64 {
+	return ct.ReserveRuns(0) - 1
 }
 
 // offerCheckpoint hands the session's resumable state to the sink if at
 // least `every` new trials were observed since the last snapshot (minimum
 // one — empty checkpoints are never offered). Returns the new high-water
-// trial count. Callers invoke it only at batch/rung boundaries; see
+// trial count. Called only at the drive loop's batch boundary; see
 // tune.CheckpointState for the aliasing contract.
-func offerCheckpoint(sink func(tune.CheckpointState), s *tune.Session, rr runReserver, last, every int) int {
+func offerCheckpoint(sink func(tune.CheckpointState), s *tune.Session, ct tune.ConcurrentTarget, last, every int) int {
 	trials := s.Trials()
 	if every < 1 {
 		every = 1
@@ -56,81 +69,8 @@ func offerCheckpoint(sink func(tune.CheckpointState), s *tune.Session, rr runRes
 	if len(trials)-last < every {
 		return last
 	}
-	sink(tune.CheckpointState{Trials: trials, RunsReserved: reservedRuns(rr)})
+	sink(tune.CheckpointState{Trials: trials, RunsReserved: reservedRuns(ct)})
 	return len(trials)
-}
-
-// replayDrive feeds a checkpointed single-fidelity history back through a
-// fresh proposer: for each batch the proposer proposes, the recorded results
-// are recorded and observed in order. The memo cache (when enabled) is
-// seeded with the replayed results so post-resume repeat proposals hit it
-// exactly as they would have without the interruption.
-func replayDrive(s *tune.Session, p tune.Proposer, ev *evaluator, rep *tune.Replay) error {
-	i := 0
-	for i < len(rep.Trials) {
-		if s.Exhausted() {
-			return replayErr(i, len(rep.Trials), "budget exhausted mid-replay (resume must use the original spec's budget)")
-		}
-		remaining := s.Remaining()
-		cfgs := p.Propose(remaining)
-		if len(cfgs) == 0 {
-			return replayErr(i, len(rep.Trials), "fresh proposer stopped proposing before the checkpointed history ended")
-		}
-		if len(cfgs) > remaining {
-			cfgs = cfgs[:remaining]
-		}
-		if len(cfgs) > len(rep.Trials)-i {
-			return replayErr(i, len(rep.Trials), "checkpoint ends mid-batch (checkpoints are only written at batch boundaries — is this a checkpoint from a different spec?)")
-		}
-		for _, cfg := range cfgs {
-			rt := rep.Trials[i]
-			if !vectorsEqual(cfg.Vector(), rt.Vector) {
-				return replayErr(i, len(rep.Trials), "fresh proposer diverged from the checkpointed history (spec, seed, or warm-start corpus changed since the checkpoint)")
-			}
-			if ev.cache != nil {
-				ev.cache.put(configKey(cfg), rt.Result)
-			}
-			p.Observe(s.RecordExternal(cfg, rt.Result))
-			i++
-		}
-	}
-	restoreReserved(ev.ct, rep.RunsReserved)
-	return nil
-}
-
-// replayFidelity is replayDrive for multi-fidelity schedules: candidates are
-// verified against the recorded history (configuration and fidelity), and
-// each replayed observation re-runs the proposer's prune decisions so
-// TrialPruned events are re-emitted in their original positions.
-func replayFidelity(s *tune.Session, fp tune.FidelityProposer, rr runReserver, rep *tune.Replay) error {
-	i := 0
-	for i < len(rep.Trials) {
-		if s.Exhausted() {
-			return replayErr(i, len(rep.Trials), "budget exhausted mid-replay (resume must use the original spec's budget)")
-		}
-		remaining := s.Remaining()
-		cands := fp.ProposeFidelity(remaining)
-		if len(cands) == 0 {
-			return replayErr(i, len(rep.Trials), "fresh proposer stopped proposing before the checkpointed history ended")
-		}
-		if len(cands) > remaining {
-			cands = cands[:remaining]
-		}
-		if len(cands) > len(rep.Trials)-i {
-			return replayErr(i, len(rep.Trials), "checkpoint ends mid-rung (checkpoints are only written at rung boundaries — is this a checkpoint from a different spec?)")
-		}
-		for _, c := range cands {
-			rt := rep.Trials[i]
-			if !vectorsEqual(c.Config.Vector(), rt.Vector) || normFidelity(c.Fidelity) != normFidelity(rt.Result.Fidelity) {
-				return replayErr(i, len(rep.Trials), "fresh proposer diverged from the checkpointed history (spec, seed, or warm-start corpus changed since the checkpoint)")
-			}
-			fp.ObserveFidelity(s.RecordFidelity(c, rt.Result))
-			s.Prune(fp.PruneNotices()...)
-			i++
-		}
-	}
-	restoreReserved(rr, rep.RunsReserved)
-	return nil
 }
 
 // normFidelity maps any full-fidelity encoding (≤0 or ≥1) to 0, matching the

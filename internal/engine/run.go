@@ -138,28 +138,22 @@ func (r *Run) run(e *Engine, record bool) {
 		r.finish(nil, r.ctx.Err())
 		return
 	}
-	defer r.releaseSlot()
 	r.mu.Lock()
 	r.running = true
 	r.mu.Unlock()
 
-	workers := r.job.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	// Deliberately job.Remote only — never the engine's: an engine-level
-	// backend is bound to one target's sysmodel and would evaluate other
-	// jobs' trials against the wrong system.
 	memoCap := r.job.MemoCap
 	if memoCap == 0 {
-		memoCap = e.cacheCap
+		memoCap = e.o.CacheCap
 	}
-	sub := &Engine{
-		workers: workers, cache: e.cache || r.job.Memo || memoCap > 0, cacheCap: memoCap,
-		remote:     r.job.Remote,
-		sem:        make(chan struct{}, workers),
-		checkpoint: r.job.Checkpoint, ckptEvery: r.job.CheckpointEvery, replay: r.job.Replay,
-	}
+	sub := New(Options{
+		Workers: max(r.job.Parallel, 1), Cache: e.o.Cache || r.job.Memo, CacheCap: memoCap,
+		// Deliberately job.Remote only — never the engine's: an engine-level
+		// backend is bound to one target's sysmodel and would evaluate other
+		// jobs' trials against the wrong system.
+		Remote:     r.job.Remote,
+		Checkpoint: r.job.Checkpoint, CheckpointEvery: r.job.CheckpointEvery, Replay: r.job.Replay,
+	})
 	ctx := r.ctx
 	if record {
 		ctx = tune.WithMonitor(ctx, &tune.Monitor{OnEvent: r.observe, Gate: r.gate})
@@ -169,6 +163,9 @@ func (r *Run) run(e *Engine, record bool) {
 	}
 	res, err := sub.Tune(ctx, r.job.Target, r.job.Tuner, r.job.Budget)
 	r.archive(res, err)
+	// The slot goes back before finish wakes waiters: once Wait returns,
+	// the run holds no scheduler capacity.
+	r.releaseSlot()
 	r.finish(res, err)
 }
 
@@ -202,7 +199,7 @@ func (r *Run) acquireSlot() bool {
 }
 
 // releaseSlot returns the scheduler slot if held; safe to call twice
-// (the gate releases during a pause, the run's defer releases at exit).
+// (the gate releases during a pause, the run releases at exit).
 func (r *Run) releaseSlot() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -542,10 +539,13 @@ func (r *Run) EventsSince(ctx context.Context, after int) <-chan tune.Event {
 			r.mu.Unlock()
 		}()
 		sent := after     // Seq of the last event delivered (or resumed past)
-		caughtUp := false // true once this subscriber has observed ring state
+		attached := false // true once this subscriber has been handed ring state
 		for {
 			r.mu.Lock()
-			var synth *tune.Event
+			// covered is the Seq the pending events resume after: sent, or
+			// the end of the evicted prefix a synthetic event stands in for.
+			covered := sent
+			var pending []tune.Event
 			if oldest := r.oldestLocked(); sent < oldest-1 {
 				// The events after sent were evicted: compact them into one
 				// synthetic event. A fresh or reconnecting subscriber gets a
@@ -553,39 +553,44 @@ func (r *Run) EventsSince(ctx context.Context, after int) <-chan tune.Event {
 				// gets a lagged notice with its personal drop count.
 				sum := r.summary
 				kind := tune.StreamCheckpoint
-				if caughtUp {
+				if attached {
 					kind = tune.StreamLagged
 					sum.Dropped = oldest - 1 - sent
 				}
-				synth = &tune.Event{Kind: kind, Seq: sum.CoveredThrough, Summary: &sum}
-				sent = oldest - 1
+				covered = oldest - 1
+				pending = append(pending, tune.Event{Kind: kind, Seq: sum.CoveredThrough, Summary: &sum})
 			}
-			batch := r.tailLocked(sent)
-			notify := r.notify
+			pending = append(pending, r.tailLocked(covered)...)
+			notify := r.watchLocked()
 			finished := r.finished
 			r.mu.Unlock()
-			caughtUp = true
-			if synth != nil {
-				select {
-				case out <- *synth:
-				case <-ctx.Done():
-					return
-				}
-			}
-			for _, ev := range batch {
-				select {
-				case out <- ev:
-					sent = ev.Seq
-				case <-ctx.Done():
-					return
-				}
-			}
-			if synth == nil && len(batch) == 0 {
+			if len(pending) == 0 {
 				if finished {
 					return
 				}
+				attached = true
 				select {
 				case <-notify:
+				case <-ctx.Done():
+					return
+				}
+				continue
+			}
+			// Keep watching the ring while stalled on a send: once the
+			// session laps this subscriber, the events still queued here
+			// are evicted, and it gets the lag notice instead of them.
+			for len(pending) > 0 {
+				select {
+				case out <- pending[0]:
+					sent, attached = pending[0].Seq, true
+					pending = pending[1:]
+				case <-notify:
+					r.mu.Lock()
+					if r.oldestLocked()-1 > max(sent, covered) {
+						pending = nil
+					}
+					notify = r.watchLocked()
+					r.mu.Unlock()
 				case <-ctx.Done():
 					return
 				}
@@ -593,4 +598,14 @@ func (r *Run) EventsSince(ctx context.Context, after int) <-chan tune.Event {
 		}
 	}()
 	return out
+}
+
+// watchLocked returns the channel the next append closes, or nil once the
+// run has finished: nothing more will be appended, and a subscriber
+// stalled on a send must not spin on an already-closed channel.
+func (r *Run) watchLocked() chan struct{} {
+	if r.finished {
+		return nil
+	}
+	return r.notify
 }

@@ -34,7 +34,8 @@ type ReplayTrial struct {
 
 // Replay is the resumable state of an interrupted session: the ordered
 // observation history plus the target's reserved-run counter at the
-// checkpoint boundary. Drivers consume it before proposing anything new.
+// checkpoint boundary. A resumed session serves it to the drive loop before
+// evaluating anything new.
 type Replay struct {
 	Trials       []ReplayTrial `json:"trials"`
 	RunsReserved int64         `json:"runs_reserved"`

@@ -187,7 +187,7 @@ func TestMultiFidelityPromotionSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DriveFidelity(ctx, mf.Name(), target, Budget{Trials: 30}, fp)
+	res, err := Drive(ctx, mf.Name(), target, Budget{Trials: 30}, fp, sequential{target}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,9 +325,8 @@ func TestSessionPruneEmitsOrderedEvents(t *testing.T) {
 	ctx := WithMonitor(context.Background(), &Monitor{OnEvent: func(ev Event) { events = append(events, ev) }})
 	s := NewSession(ctx, target, Budget{Trials: 4})
 	for i := 0; i < 3; i++ {
-		if _, err := s.RunFidelity(target, Candidate{Config: target.Space().Random(rand.New(rand.NewSource(int64(i)))), Fidelity: 1.0 / 3}); err != nil {
-			t.Fatal(err)
-		}
+		c := Candidate{Config: target.Space().Random(rand.New(rand.NewSource(int64(i)))), Fidelity: 1.0 / 3}
+		s.RecordFidelity(c, RunCandidate(ctx, target, c))
 	}
 	s.Prune(2, 3, 99, 0)
 	var got []Event
@@ -357,11 +356,8 @@ func TestSessionPartialFidelityNeverHoldsIncumbency(t *testing.T) {
 	s := NewSession(context.Background(), target, Budget{Trials: 3})
 	good := target.Space().Default().With("x", 0.2)
 	cheap := target.Space().Default().With("x", 0.0)
-	if _, err := s.RunFidelity(target, Candidate{Config: good, Fidelity: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunFidelity(target, Candidate{Config: cheap, Fidelity: 0.1}); err != nil {
-		t.Fatal(err)
+	for _, c := range []Candidate{{Config: good, Fidelity: 1}, {Config: cheap, Fidelity: 0.1}} {
+		s.RecordFidelity(c, RunCandidate(context.Background(), target, c))
 	}
 	_, bestRes := s.Best()
 	if !bestRes.FullFidelity() {

@@ -42,15 +42,15 @@ func NewMultiFidelity(inner BatchTuner, fs FidelitySpace, strategy string, seed 
 // Name implements Tuner, e.g. "hyperband(ituned)".
 func (t *MultiFidelityTuner) Name() string { return t.strategy + "(" + t.inner.Name() + ")" }
 
-// Tune implements Tuner through the sequential fidelity driver; the
-// concurrent engine replaces it with the parallel driver obeying the same
-// observation and prune order.
+// Tune implements Tuner on the drive loop with the sequential evaluator;
+// the concurrent engine drives the same proposer through its worker pool,
+// with the same observation and prune order.
 func (t *MultiFidelityTuner) Tune(ctx context.Context, target Target, b Budget) (*TuningResult, error) {
 	fp, err := t.NewFidelityProposer(target, b)
 	if err != nil {
 		return nil, err
 	}
-	return DriveFidelity(ctx, t.Name(), target, b, fp)
+	return Drive(ctx, t.Name(), target, b, fp, sequential{target}, nil)
 }
 
 // NewFidelityProposer implements FidelityBatchTuner.

@@ -93,7 +93,7 @@ func TestSessionConcurrentRecording(t *testing.T) {
 				s.RecordExternal(cfg, Result{Time: 1 + float64(w)})
 				s.Best()
 				s.Exhausted()
-				s.LastTrial()
+				s.Remaining()
 			}
 		}(w)
 	}

@@ -49,18 +49,11 @@ func ScenarioFrom(ctx context.Context) Scenario {
 
 // SessionAware is implemented by proposers that need the live session handle
 // beyond the observed trials — the drift detector calls ReAnchor on it when
-// it concludes the workload shifted. Drivers (DriveProposer, the engine's
-// Drive) bind the session before the first Propose. Wrappers that may
+// it concludes the workload shifted. The drive loop (Drive) binds the
+// session before the first Propose. Wrappers that may
 // enclose a session-aware proposer forward the bind.
 type SessionAware interface {
 	BindSession(*Session)
-}
-
-// bindSession hands s to p when p wants it — shared by every driver.
-func bindSession(p Proposer, s *Session) {
-	if sa, ok := p.(SessionAware); ok {
-		sa.BindSession(s)
-	}
 }
 
 // dominates reports strict Pareto dominance of a over b on (objective, cost):

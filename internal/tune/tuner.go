@@ -149,8 +149,8 @@ func (s *Session) exhaustedLocked() bool {
 // Run evaluates cfg against the target, recording the trial. It returns
 // ErrBudgetExhausted when no budget remains and the context error if the
 // session was cancelled. The session lock is held across the run, so
-// concurrent Run calls serialize; parallel evaluation belongs to the engine,
-// which runs trials outside the session and merges them via RecordExternal.
+// concurrent Run calls serialize; the drive loop instead evaluates outside
+// the session and merges results via RecordFidelity.
 func (s *Session) Run(cfg Config) (Result, error) {
 	s.gate()
 	s.mu.Lock()
@@ -169,15 +169,11 @@ func (s *Session) Run(cfg Config) (Result, error) {
 
 // RecordExternal records a trial whose result was obtained outside Run —
 // adaptive tuners drive tune.AdaptiveTarget.RunAdaptive directly, and the
-// concurrent engine evaluates batches on its worker pool; both charge the
-// run to the session so cost accounting stays uniform across categories.
+// drive loop evaluates batches through its Evaluator; both charge the run
+// to the session so cost accounting stays uniform across categories.
 // It returns the recorded trial.
 func (s *Session) RecordExternal(cfg Config, res Result) Trial {
-	s.gate()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.emitLocked(Event{Kind: TrialStarted, Trial: len(s.trials) + 1, Config: cfg})
-	return s.recordLocked(cfg, res)
+	return s.RecordFidelity(Candidate{Config: cfg}, res)
 }
 
 func (s *Session) recordLocked(cfg Config, res Result) Trial {
@@ -215,36 +211,10 @@ func partialFidelity(f float64) float64 {
 	return f
 }
 
-// RunFidelity evaluates c against the fidelity-aware target, recording the
-// trial with its fidelity. Full-fidelity candidates run through Target.Run,
-// so a fidelity session's top-rung trials draw the plain path's noise
-// stream.
-func (s *Session) RunFidelity(ft FidelityTarget, c Candidate) (Result, error) {
-	s.gate()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	if s.exhaustedLocked() {
-		return Result{}, ErrBudgetExhausted
-	}
-	fid := partialFidelity(c.Fidelity)
-	s.emitLocked(Event{Kind: TrialStarted, Trial: len(s.trials) + 1, Config: c.Config, Fidelity: fid})
-	var res Result
-	if fid == 0 {
-		res = s.target.Run(c.Config)
-	} else {
-		res = ft.RunFidelity(s.ctx, fid, c.Config)
-		res.Fidelity = fid
-	}
-	s.recordLocked(c.Config, res)
-	return res, nil
-}
-
-// RecordFidelity is RecordExternal for fidelity candidates: the concurrent
-// engine evaluates rungs on its worker pool and merges each outcome here in
-// proposal order, stamping the result with the candidate's fidelity.
+// RecordFidelity is RecordExternal for fidelity candidates: the drive loop
+// merges every evaluated candidate here in proposal order, stamping the
+// result with the candidate's partial fidelity. At full fidelity it is
+// exactly RecordExternal.
 func (s *Session) RecordFidelity(c Candidate, res Result) Trial {
 	s.gate()
 	s.mu.Lock()
@@ -324,16 +294,6 @@ func (s *Session) Trials() []Trial {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.trials
-}
-
-// LastTrial returns the most recently recorded trial (zero Trial if none).
-func (s *Session) LastTrial() Trial {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.trials) == 0 {
-		return Trial{}
-	}
-	return s.trials[len(s.trials)-1]
 }
 
 // SimTimeUsed returns the cumulative simulated seconds consumed.

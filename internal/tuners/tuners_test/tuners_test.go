@@ -299,8 +299,10 @@ func TestTunersRespectContextCancellation(t *testing.T) {
 // -parallel 4, and the session's entire marshaled event stream must be
 // byte-identical — the repo-wide guarantee that parallelism never changes
 // results, enforced for every tuner in one place instead of ad-hoc per-PR
-// checks. Tuners that reject a target (wrong system, no adaptive hooks)
-// must reject it identically at both parallelism levels.
+// checks. A third stream runs the same job through the blocking Tuner.Tune
+// facade under a monitor, so the sequential evaluator and the engine's
+// evaluator must agree too. Tuners that reject a target (wrong system, no
+// adaptive hooks) must reject it identically on every path.
 func TestGoldenDeterminismCorpus(t *testing.T) {
 	targets := []struct {
 		system, workload string
@@ -329,6 +331,31 @@ func TestGoldenDeterminismCorpus(t *testing.T) {
 		}
 		return events, ""
 	}
+	// facade numbers the monitored events and closes the stream with
+	// session_done, as the engine's run handle does.
+	facade := func(spec repro.Spec) ([]string, string) {
+		job, err := spec.Job()
+		if err != nil {
+			return nil, err.Error()
+		}
+		var evs []tune.Event
+		ctx := tune.WithMonitor(context.Background(), &tune.Monitor{OnEvent: func(ev tune.Event) { evs = append(evs, ev) }})
+		res, err := job.Tuner.Tune(ctx, job.Target, job.Budget)
+		evs = append(evs, tune.Event{Kind: tune.SessionDone, Final: res, Err: err})
+		var events []string
+		for i, ev := range evs {
+			ev.Seq = i + 1
+			data, merr := json.Marshal(ev)
+			if merr != nil {
+				return nil, "marshal: " + merr.Error()
+			}
+			events = append(events, string(data))
+		}
+		if err != nil {
+			return events, err.Error()
+		}
+		return events, ""
+	}
 	for _, name := range repro.Tuners() {
 		for _, tc := range targets {
 			t.Run(name+"/"+tc.system, func(t *testing.T) {
@@ -341,21 +368,27 @@ func TestGoldenDeterminismCorpus(t *testing.T) {
 				}
 				seq, seqErr := stream(spec, 1)
 				par, parErr := stream(spec, 4)
-				if seqErr != parErr {
-					t.Fatalf("errors differ across parallelism:\n  p1: %s\n  p4: %s", seqErr, parErr)
+				fac, facErr := facade(spec)
+				if seqErr != parErr || seqErr != facErr {
+					t.Fatalf("errors differ across paths:\n  p1:     %s\n  p4:     %s\n  facade: %s", seqErr, parErr, facErr)
 				}
 				if seqErr != "" {
-					return // rejected identically on both paths: that is the contract
+					return // rejected identically on every path: that is the contract
 				}
 				if len(seq) == 0 {
 					t.Fatal("no events streamed")
 				}
-				if len(seq) != len(par) {
-					t.Fatalf("event counts differ: %d vs %d", len(seq), len(par))
-				}
-				for i := range seq {
-					if seq[i] != par[i] {
-						t.Fatalf("event %d differs across parallelism:\n  p1: %s\n  p4: %s", i, seq[i], par[i])
+				for _, other := range []struct {
+					label  string
+					events []string
+				}{{"p4", par}, {"facade", fac}} {
+					if len(seq) != len(other.events) {
+						t.Fatalf("event counts differ: p1 %d vs %s %d", len(seq), other.label, len(other.events))
+					}
+					for i := range seq {
+						if seq[i] != other.events[i] {
+							t.Fatalf("event %d differs:\n  p1: %s\n  %s: %s", i, seq[i], other.label, other.events[i])
+						}
 					}
 				}
 			})
