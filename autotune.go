@@ -63,9 +63,9 @@ type (
 	// FidelitySpace is the geometric ladder of budget levels a
 	// multi-fidelity session evaluates trials at.
 	FidelitySpace = tune.FidelitySpace
-	// SurrogateSpec selects the GP surrogate tier (exact, sparse
-	// inducing-point, or random-Fourier-features) and its switch-over
-	// thresholds for the model-based tuners.
+	// SurrogateSpec selects the GP surrogate tier (exact or sparse
+	// inducing-point) and its switch-over threshold for the model-based
+	// tuners.
 	SurrogateSpec = tune.SurrogateConfig
 	// Job is one (target, tuner) session for TuneJobs and Engine.Submit.
 	Job = engine.Job

@@ -9,7 +9,7 @@ package repro
 //	REPRO_REPO_BENCH_OUT=BENCH_pr9.json go test -run '^TestRepositoryBenchReport$' -timeout 60m -v .
 //
 // REPRO_REPO_BENCH_SIZES overrides the corpus sizes (comma-separated;
-// default 10000,100000,1000000). scripts/bench.sh drives this to produce
+// default 10000,100000,1000000). The command above produces
 // BENCH_pr9.json; CI runs a 10k smoke against a throwaway output path.
 
 import (

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/mathx/gp"
-	"repro/internal/mathx/linalg"
 	"repro/internal/sysmodel/cluster"
 	"repro/internal/sysmodel/dbms"
 	"repro/internal/tune"
@@ -218,7 +217,7 @@ func surrogateTrainingSet(n int, seed int64) (xs [][]float64, ys []float64) {
 // full per-round hyperparameter search the tuners pay below the exact-GP
 // wall; n ≥ 200 fits with fixed hyperparameters (the same rule the tuners
 // apply past their reoptimization horizon), isolating the O(n³)
-// factorization growth the sparse/RFF tiers exist to avoid.
+// factorization growth the sparse tier exists to avoid.
 func BenchmarkGPFit(b *testing.B) {
 	for _, n := range []int{20, 40, 60, 200, 500, 2000} {
 		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
@@ -260,10 +259,10 @@ func BenchmarkGPRefitGrowing(b *testing.B) {
 	}
 }
 
-// BenchmarkSurrogateFit compares the three surrogate tiers on identical
+// BenchmarkSurrogateFit compares the two surrogate tiers on identical
 // training sets with fixed hyperparameters (optimize=false everywhere):
-// pure conditioning cost, exact O(n³) vs sparse O(nm²) vs RFF O(nD²). The
-// speedup section of BENCH_pr6.json is computed from these rows.
+// pure conditioning cost, exact O(n³) vs sparse O(nm²). Whole-session cost
+// is perfbench's model-session workload (bash perfbench/run.sh).
 func BenchmarkSurrogateFit(b *testing.B) {
 	tiers := []struct {
 		name string
@@ -275,7 +274,6 @@ func BenchmarkSurrogateFit(b *testing.B) {
 			s.MaxInducing = 64
 			return s
 		}},
-		{"rff", func() gp.Surrogate { return gp.NewRFF(gp.Matern52, 128, 1) }},
 	}
 	for _, tier := range tiers {
 		for _, n := range []int{200, 500, 2000} {
@@ -290,91 +288,6 @@ func BenchmarkSurrogateFit(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkBlockedCholesky compares the serial right-looking factorization
-// against the blocked parallel one at sizes above parallelMinDim. On a
-// single-CPU host the parallel path measures its scheduling overhead; the
-// multi-core speedup argument is the critical-path estimate in DESIGN.md
-// §12.
-func BenchmarkBlockedCholesky(b *testing.B) {
-	for _, n := range []int{256, 512} {
-		a := linalg.New(n, n)
-		rnd := randFor(int64(n))
-		for i := 0; i < n; i++ {
-			for j := 0; j <= i; j++ {
-				v := rnd.Float64() - 0.5
-				a.Set(i, j, v)
-				a.Set(j, i, v)
-			}
-			a.Add(i, i, float64(n))
-		}
-		l := linalg.New(n, n)
-		b.Run("serial/n="+strconv.Itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := linalg.CholeskyInto(a, l); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("parallel/n="+strconv.Itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := linalg.ParallelCholeskyInto(a, l, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkGPAppend measures incremental conditioning on one new observation
-// — the bordered-Cholesky append behind ReoptimizeEvery > 1 — against the
-// O(n³) hyper-searched refit it replaces (BenchmarkGPFit at the same n).
-func BenchmarkGPAppend(b *testing.B) {
-	for _, n := range []int{20, 40, 60} {
-		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
-			target := ablationTarget(6)
-			space := target.Space()
-			var xs [][]float64
-			var ys []float64
-			rnd := space.Default()
-			for i := 0; i <= n; i++ {
-				rnd = space.Perturb(rnd, 0.3, randFor(int64(i)))
-				xs = append(xs, rnd.Vector())
-				ys = append(ys, target.Run(rnd).Time)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				g := gp.New(gp.Matern52)
-				if err := g.Fit(xs[:n], ys[:n], true); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if err := g.Append(xs[n], ys[n]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkITunedReoptimizeEvery compares full per-round hyperparameter
-// search (the default, every=1) against incremental GP conditioning
-// (every=5) over a whole tuning session.
-func BenchmarkITunedReoptimizeEvery(b *testing.B) {
-	for _, every := range []int{1, 5} {
-		b.Run("every="+strconv.Itoa(every), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				target := ablationTarget(int64(500 + i))
-				it := experiment.NewITuned(int64(i))
-				it.ReoptimizeEvery = every
-				if _, err := it.Tune(context.Background(), target, tune.Budget{Trials: 30}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -71,9 +71,8 @@ func main() {
 		fidelity  = flag.String("fidelity", "", `multi-fidelity bracket strategy: "hyperband" or "halving" (off when empty)`)
 		fidMin    = flag.Float64("fidelity-min", 0, "lowest fidelity fraction evaluated (0 = default 1/9)")
 		fidEta    = flag.Float64("fidelity-eta", 0, "rung promotion ratio (0 = default 3)")
-		surrogate = flag.String("surrogate", "", `GP surrogate tier for model-based tuners: "auto", "exact", "sparse", or "rff" (empty = auto)`)
+		surrogate = flag.String("surrogate", "", `GP surrogate tier for model-based tuners: "auto", "exact", or "sparse" (empty = auto)`)
 		spAbove   = flag.Int("sparse-above", 0, "trial count above which auto surrogate mode leaves the exact GP (0 = default 160)")
-		rffAbove  = flag.Int("rff-above", 0, "trial count above which auto surrogate mode switches to random Fourier features (0 = default 1500)")
 		evals     = flag.String("evaluators", "", "comma-separated base URLs of autotune-evaluator processes to lease trials to")
 		pareto    = flag.Bool("pareto", false, "multi-objective tuning: a latency-vs-cost scalarization sweep that reports the Pareto front")
 		guardrail = flag.Float64("guardrail", 0, "objective guardrail in seconds: screen proposals through a safety surrogate and count violations (0 = off)")
@@ -155,8 +154,8 @@ func main() {
 	}
 
 	var surSpec *repro.SurrogateSpec
-	if *surrogate != "" || *spAbove > 0 || *rffAbove > 0 {
-		surSpec = &repro.SurrogateSpec{Tier: *surrogate, SparseAbove: *spAbove, RFFAbove: *rffAbove}
+	if *surrogate != "" || *spAbove > 0 {
+		surSpec = &repro.SurrogateSpec{Tier: *surrogate, SparseAbove: *spAbove}
 		if err := surSpec.Validate(); err != nil {
 			fatal(err)
 		}

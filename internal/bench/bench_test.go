@@ -202,15 +202,16 @@ func TestFidelityReachesIncumbentAtHalfCost(t *testing.T) {
 }
 
 // TestSurrogateFast checks the E11 table's structure and its deterministic
-// columns: every tier row is present at every n, the cheap tiers agree with
+// columns: every tier row is present at every n, the sparse tier agrees with
 // the exact GP to a usable tolerance, and the exact row's speedup is exactly
 // 1× (it is its own baseline). Wall-clock columns are only checked for shape
-// — CI hosts are too noisy to assert on absolute timings here; the hard
-// performance claims live in BenchmarkSurrogateFit and BENCH_pr6.json.
+// — CI hosts are too noisy to assert on absolute timings here; fit cost is
+// measured by BenchmarkSurrogateFit, and whole-session cost by perfbench's
+// model-session workload.
 func TestSurrogateFast(t *testing.T) {
 	tb := Surrogate(fastOpts())
-	if len(tb.Rows) != 6 {
-		t.Fatalf("rows = %d, want 3 tiers × 2 sizes", len(tb.Rows))
+	if len(tb.Rows) != 4 {
+		t.Fatalf("rows = %d, want 2 tiers × 2 sizes", len(tb.Rows))
 	}
 	for i, row := range tb.Rows {
 		if !strings.HasSuffix(row[2], "ms") || !strings.HasSuffix(row[3], "ms") {
@@ -222,11 +223,11 @@ func TestSurrogateFast(t *testing.T) {
 		var rmse float64
 		fmt.Sscanf(row[4], "%f", &rmse)
 		switch {
-		case i%3 == 0: // exact row: zero self-disagreement, unit speedup
+		case i%2 == 0: // exact row: zero self-disagreement, unit speedup
 			if rmse != 0 || row[5] != "1.00x" {
 				t.Errorf("exact row self-comparison wrong: %v", row)
 			}
-		default: // sparse/rff rows approximate the exact posterior
+		default: // sparse rows approximate the exact posterior
 			if rmse > 2.0 {
 				t.Errorf("row %d disagrees with the exact GP (rmse %.3f): %v", i, rmse, row)
 			}

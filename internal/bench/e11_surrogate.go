@@ -12,18 +12,18 @@ import (
 )
 
 // Surrogate measures the scalable-surrogate tier: the exact GP against the
-// FITC sparse inducing-point GP and the random-Fourier-feature surrogate on
-// identical DBMS training sets, at sizes straddling the exact-GP wall. Three
-// numbers per row: wall time to fit, wall time to EI-score a candidate batch
-// (the per-round planning cost), and agreement with the exact GP's posterior
-// mean on a held-out grid — the accuracy each cheaper tier trades for its
-// asymptotic win (exact O(n³) fit vs sparse O(nm²) vs RFF O(nD²)).
+// FITC sparse inducing-point GP on identical DBMS training sets, at sizes
+// straddling the exact-GP wall. Three numbers per row: wall time to fit,
+// wall time to EI-score a candidate batch (the per-round planning cost),
+// and agreement with the exact GP's posterior mean on a held-out grid — the
+// accuracy the sparse tier trades for its asymptotic win (exact O(n³) fit
+// vs sparse O(nm²)).
 //
 // Timings are min-of-3 wall clock so the table is stable on a loaded host;
 // agreement is fully deterministic (fixed seed, fixed hyperparameters).
 func Surrogate(o Options) *Table {
 	t := &Table{
-		Title: "E11 (surrogate): exact vs sparse-inducing vs RFF surrogate cost and agreement (dbms/tpch)",
+		Title: "E11 (surrogate): exact vs sparse-inducing surrogate cost and agreement (dbms/tpch)",
 		Columns: []string{
 			"surrogate", "n", "fit", "score 256 candidates",
 			"agreement (rmse/σy vs exact)", "fit speedup",
@@ -92,11 +92,6 @@ func Surrogate(o Options) *Table {
 				s.MaxInducing = 64
 				s.Hyper = hp
 				return s
-			}},
-			{"RFF (D=128)", func() gp.Surrogate {
-				r := gp.NewRFF(gp.Matern52, 128, o.Seed)
-				r.Hyper = hp
-				return r
 			}},
 		}
 		for _, tier := range tiers {

@@ -66,7 +66,7 @@ var registry = map[string]Experiment{
 	},
 	"surrogate": {
 		Name: "surrogate", Paper: "§2.5 model scalability (surrogate cost past the exact-GP wall)",
-		Doc: "exact vs sparse-inducing vs random-Fourier-feature surrogates: fit/score cost and posterior agreement",
+		Doc: "exact vs sparse-inducing surrogates: fit/score cost and posterior agreement",
 		Run: Surrogate,
 	},
 	"drift": {

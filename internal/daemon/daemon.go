@@ -102,8 +102,8 @@ const DefaultSSEWriteTimeout = 30 * time.Second
 // Server owns the engine, the session table, and the durable repository.
 type Server struct {
 	eng  *repro.Engine
-	repo store.Store // nil without a RepoDir
-	pool *dist.Pool  // always non-nil; empty without evaluators
+	repo *store.FileStore // nil without a RepoDir
+	pool *dist.Pool       // always non-nil; empty without evaluators
 	opts Options
 
 	// drainCh is closed when a graceful drain begins: open SSE streams
@@ -117,6 +117,9 @@ type Server struct {
 	draining bool
 	rejected int64 // sessions refused by admission control (429s)
 	resumed  int   // sessions resumed from checkpoints at startup
+	// resumeErrs maps each checkpoint that could not be resumed at startup
+	// (and was dropped) to the reason.
+	resumeErrs map[string]string
 }
 
 type session struct {
@@ -138,7 +141,8 @@ type session struct {
 // state from previous daemon lifetimes: the archived corpus is served again,
 // and every in-flight session checkpoint left by the previous lifetime
 // (crash or drain) is resubmitted with its observation history replayed, so
-// interrupted sessions continue instead of vanishing.
+// interrupted sessions continue instead of vanishing. Failing to list the
+// checkpoints is an error.
 func New(o Options) (*Server, error) {
 	if o.SSEWriteTimeout == 0 {
 		o.SSEWriteTimeout = DefaultSSEWriteTimeout
@@ -156,42 +160,64 @@ func New(o Options) (*Server, error) {
 			return nil, err
 		}
 		s.repo = st
-		s.resumeCheckpoints()
+		if err := s.resumeCheckpoints(); err != nil {
+			st.Close()
+			return nil, err
+		}
 	}
 	return s, nil
 }
 
 // resumeCheckpoints resubmits every session checkpoint the previous daemon
 // lifetime left behind. Resume failures are per-session, not fatal: a
-// checkpoint that no longer decodes or whose spec is invalid surfaces as a
-// failed session (and its checkpoint is released), never as a daemon that
-// will not start.
-func (s *Server) resumeCheckpoints() {
+// checkpoint that no longer decodes, whose spec is invalid, or whose session
+// cannot restart is dropped rather than retried forever, and its sid and
+// error are reported in /healthz — never a daemon that will not start.
+func (s *Server) resumeCheckpoints() error {
 	cps, err := s.repo.Checkpoints()
-	if err != nil || len(cps) == 0 {
-		return
+	if err != nil {
+		return err
 	}
 	for _, cp := range cps {
-		var spec repro.Spec
-		dec := json.NewDecoder(bytes.NewReader(cp.Spec))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil || spec.Validate() != nil {
-			// The checkpoint is unusable; drop it rather than retry forever.
-			_ = s.repo.DeleteCheckpoint(cp.SID)
-			continue
-		}
-		replay := cp.Replay
-		if _, err := s.startSession(spec, cp.SID, &replay, true); err != nil {
-			_ = s.repo.DeleteCheckpoint(cp.SID)
-			continue
+		err := s.resumeCheckpoint(cp)
+		if err != nil {
+			if derr := s.repo.DeleteCheckpoint(cp.SID); derr != nil {
+				err = errors.Join(err, derr)
+			}
 		}
 		s.mu.Lock()
+		// Reserve the sid either way, so a new session never takes the id
+		// of a reported failure.
 		if _, n, ok := splitSid(cp.SID); ok && n > s.nextID {
 			s.nextID = n
 		}
-		s.resumed++
+		if err != nil {
+			if s.resumeErrs == nil {
+				s.resumeErrs = map[string]string{}
+			}
+			s.resumeErrs[cp.SID] = err.Error()
+		} else {
+			s.resumed++
+		}
 		s.mu.Unlock()
 	}
+	return nil
+}
+
+// resumeCheckpoint restarts one checkpointed session.
+func (s *Server) resumeCheckpoint(cp store.SessionCheckpoint) error {
+	var spec repro.Spec
+	dec := json.NewDecoder(bytes.NewReader(cp.Spec))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return fmt.Errorf("decoding checkpointed spec: %w", err)
+	}
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	replay := cp.Replay
+	_, err := s.startSession(spec, cp.SID, &replay, true)
+	return err
 }
 
 // splitSid splits the trailing decimal off a session id ("s12" → "s", 12).
@@ -266,6 +292,10 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 	type repoSummaryz struct {
 		Enabled  bool `json:"enabled"`
 		Sessions int  `json:"sessions,omitempty"`
+		// FoldFailures counts automatic WAL folds that failed; FoldError
+		// is the latest one's error.
+		FoldFailures int    `json:"fold_failures,omitempty"`
+		FoldError    string `json:"fold_error,omitempty"`
 	}
 	type fleetSummary struct {
 		Configured int   `json:"configured"`
@@ -284,6 +314,10 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 		Rejected    int64 `json:"rejected"`
 		Draining    bool  `json:"draining"`
 		Resumed     int   `json:"resumed,omitempty"`
+		// ResumeFailed counts checkpoints dropped at startup because they
+		// could not be resumed; ResumeErrors maps each one's sid to why.
+		ResumeFailed int               `json:"resume_failed,omitempty"`
+		ResumeErrors map[string]string `json:"resume_errors,omitempty"`
 	}
 	type memorySummary struct {
 		HeapAllocBytes   uint64 `json:"heap_alloc_bytes"`
@@ -305,11 +339,13 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 		sessions = append(sessions, s.sessions[id])
 	}
 	adm := admissionSummary{
-		MaxSessions: s.opts.MaxSessions,
-		MaxQueue:    s.opts.MaxQueue,
-		Rejected:    s.rejected,
-		Draining:    s.draining,
-		Resumed:     s.resumed,
+		MaxSessions:  s.opts.MaxSessions,
+		MaxQueue:     s.opts.MaxQueue,
+		Rejected:     s.rejected,
+		Draining:     s.draining,
+		Resumed:      s.resumed,
+		ResumeFailed: len(s.resumeErrs),
+		ResumeErrors: s.resumeErrs,
 	}
 	s.mu.Unlock()
 	var sums sessionSummary
@@ -343,6 +379,10 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 	repo := repoSummaryz{Enabled: s.repo != nil}
 	if s.repo != nil {
 		repo.Sessions = s.repo.Len()
+		var err error
+		if repo.FoldFailures, err = s.repo.FoldFailures(); err != nil {
+			repo.FoldError = err.Error()
+		}
 	}
 	var fleet fleetSummary
 	for _, h := range s.pool.Health(r.Context()) {

@@ -253,7 +253,8 @@ func TestDaemonRejectsBadSpecs(t *testing.T) {
 		`{"system": "nosuch", "workload": "x", "tuner": "ituned", "budget": {"trials": 1}}`,
 		`{"system": "dbms", "workload": "tpch", "tuner": "ituned", "budget": {"trials": 1}, "target": {"tenant_load": 2}}`,
 		`{"system": "dbms", "workload": "tpch", "tuner": "ituned", "budget": {"trials": 1}, "surrogate": {"tier": "kriging"}}`,
-		`{"system": "dbms", "workload": "tpch", "tuner": "ituned", "budget": {"trials": 1}, "surrogate": {"sparse_above": 500, "rff_above": 100}}`,
+		`{"system": "dbms", "workload": "tpch", "tuner": "ituned", "budget": {"trials": 1}, "surrogate": {"tier": "rff"}}`,
+		`{"system": "dbms", "workload": "tpch", "tuner": "ituned", "budget": {"trials": 1}, "surrogate": {"rff_above": 2000}}`,
 	} {
 		_, code, body := postSpec(t, ts, spec)
 		if code != http.StatusBadRequest {

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/tune/store"
 )
 
 const longSpec = `{"system": "dbms", "workload": "tpch", "tuner": "random",
@@ -465,5 +467,115 @@ func TestCheckpointWriteFailuresReported(t *testing.T) {
 	}
 	if msg, _ := st["checkpoint_error"].(string); !strings.Contains(msg, "checkpoint") {
 		t.Errorf("checkpoint_error = %q, want the store's write error", msg)
+	}
+}
+
+// TestResumeFailuresReported: a checkpoint the restarted daemon cannot
+// resume — here its spec names the retired "rff" surrogate tier, as a
+// checkpoint written by an older build may — is dropped, and its sid and
+// error are reported in /healthz; a good checkpoint beside it still
+// resumes, and new sessions never reuse the failed sid.
+func TestResumeFailuresReported(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cp := range []store.SessionCheckpoint{
+		{SID: "s3", Spec: json.RawMessage(`{"system": "dbms", "workload": "tpch", "tuner": "ituned",
+			"seed": 1, "budget": {"trials": 4}, "surrogate": {"tier": "rff"}}`)},
+		{SID: "s4", Spec: json.RawMessage(`{"system": "dbms", "workload": "tpch", "tuner": "random",
+			"seed": 2, "budget": {"trials": 3}}`)},
+	} {
+		if err := st.SaveCheckpoint(cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ts, srv := newTestServerWith(t, Options{Workers: 1, RepoDir: dir})
+	adm, _ := getJSON(t, ts.URL+"/healthz")["admission"].(map[string]any)
+	if n, _ := adm["resume_failed"].(float64); n != 1 {
+		t.Fatalf("resume_failed = %v, want 1 (admission %v)", adm["resume_failed"], adm)
+	}
+	errs, _ := adm["resume_errors"].(map[string]any)
+	if msg, _ := errs["s3"].(string); !strings.Contains(msg, "rff") {
+		t.Fatalf("resume_errors = %v, want s3 naming the rff tier", adm["resume_errors"])
+	}
+	if srv.resumed != 1 {
+		t.Fatalf("resumed %d sessions, want 1", srv.resumed)
+	}
+	if st := waitDone(t, ts, "s4"); st["state"] != "done" {
+		t.Fatalf("resumed session = %v", st)
+	}
+	id, code, _ := postSpec(t, ts, `{"system": "dbms", "workload": "tpch", "tuner": "random",
+		"seed": 5, "budget": {"trials": 2}}`)
+	if code != http.StatusCreated || id != "s5" {
+		t.Fatalf("POST after restart = %d id %q, want 201 s5", code, id)
+	}
+	cps, err := srv.repo.Checkpoints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cp := range cps {
+		if cp.SID == "s3" {
+			t.Fatal("the unresumable checkpoint was kept")
+		}
+	}
+}
+
+// TestUnlistableCheckpointsFailStartup: a repository whose checkpoints
+// cannot be listed (the checkpoints path is a regular file) is a startup
+// error, not a daemon that silently forgets its interrupted sessions.
+func TestUnlistableCheckpointsFailStartup(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "checkpoints"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Options{Workers: 1, RepoDir: dir})
+	if err == nil {
+		srv.Close()
+		t.Fatal("New succeeded with an unlistable checkpoints directory")
+	}
+	if !strings.Contains(err.Error(), "checkpoints") {
+		t.Errorf("New error = %v, want the listing error", err)
+	}
+	// The failed start released the repository's process lock.
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatalf("repository still locked after the failed start: %v", err)
+	}
+	st.Close()
+}
+
+// TestHealthzReportsFoldFailures: a WAL fold that fails under an archive
+// write (here a fresh repository's first segment path is taken by a
+// directory) leaves the write successful and shows in the /healthz
+// repository summary.
+func TestHealthzReportsFoldFailures(t *testing.T) {
+	dir := t.TempDir()
+	ts, srv := newTestServerWith(t, Options{Workers: 1, RepoDir: dir})
+	srv.repo.CompactEvery = 1
+	if err := os.MkdirAll(filepath.Join(dir, "seg-000000.seg", "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec := `{"system": "dbms", "workload": "tpch", "param_names": ["x"],
+	         "trials": [{"vector": [0.5], "time": 10}]}`
+	resp, err := http.Post(ts.URL+"/repository/sessions", "application/json", strings.NewReader(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("import = %d, want 201 despite the failed fold", resp.StatusCode)
+	}
+	repo, _ := getJSON(t, ts.URL+"/healthz")["repository"].(map[string]any)
+	if n, _ := repo["fold_failures"].(float64); n != 1 {
+		t.Fatalf("fold_failures = %v, want 1 (repository %v)", repo["fold_failures"], repo)
+	}
+	if msg, _ := repo["fold_error"].(string); !strings.Contains(msg, "segment") {
+		t.Errorf("fold_error = %q, want the segment write error", msg)
 	}
 }

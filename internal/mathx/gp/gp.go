@@ -27,10 +27,6 @@
 // Fit skips the search. It is kept only once a GP is refit on extended
 // rows, and costs 105·n(n+1)/2 float64s — about 1.5 MB at n = 60.
 //
-// A fitted GP can also absorb one new observation with unchanged
-// hyperparameters in O(n²) via Append, which extends the Cholesky factor by
-// a bordered row (bit-identical to refactorizing from scratch).
-//
 // A GP instance is not safe for concurrent use: Predict and the acquisition
 // functions share per-instance workspaces to stay allocation-free. Distinct
 // instances are independent.
@@ -59,12 +55,6 @@ const (
 // sqrt5 hoists the Matérn constant out of the per-pair kernel math.
 var sqrt5 = math.Sqrt(5)
 
-// blockedFitMinN is the training-set size at which refit switches from the
-// serial Cholesky to the blocked parallel factorization. It sits far above
-// every golden-pinned fit (n ≤ ~80), so recorded exact-GP event streams keep
-// their exact bits.
-const blockedFitMinN = 256
-
 // Hyper holds GP hyperparameters: signal variance, lengthscale, and
 // observation noise standard deviation — all in standardized-y units.
 type Hyper struct {
@@ -80,16 +70,15 @@ type GP struct {
 	Kernel KernelKind
 	Hyper  Hyper
 
-	x      *linalg.Matrix // n×d training inputs (deep copy of the caller's rows)
-	d2     *linalg.Matrix // n×n pairwise squared distances, built once per Fit
-	yRaw   []float64
-	yMean  float64
-	yStd   float64
-	ys     []float64 // standardized targets, computed once per Fit/Append
-	chol   *linalg.Cholesky
-	alpha  []float64
-	jitter float64 // extra diagonal jitter the factorization needed
-	grid   *gridCache
+	x     *linalg.Matrix // n×d training inputs (deep copy of the caller's rows)
+	d2    *linalg.Matrix // n×n pairwise squared distances, built once per Fit
+	yRaw  []float64
+	yMean float64
+	yStd  float64
+	ys    []float64 // standardized targets, computed once per Fit
+	chol  *linalg.Cholesky
+	alpha []float64
+	grid  *gridCache
 
 	// Reusable workspaces for Predict/EI/LCB (kernel vector and solve
 	// scratch). These make single-point prediction allocation-free but make
@@ -149,7 +138,7 @@ func (g *GP) Fit(x [][]float64, y []float64, optimize bool) error {
 	if f := g.optimizeHypers(); f != nil {
 		// The selected candidate's cached factor is the one refit would
 		// compute: the same matrix, factored without jitter.
-		g.setFactor(f.Dense(), 0)
+		g.setFactor(f.Dense())
 		return nil
 	}
 	return g.refit()
@@ -224,21 +213,8 @@ func (g *GP) kernelMatrix(sv, l, noise float64) *linalg.Matrix {
 // refit factors the kernel matrix for the current hyperparameters and solves
 // for alpha.
 func (g *GP) refit() error {
-	n := g.x.R
 	k := g.kernelMatrix(g.Hyper.SignalVar, g.Hyper.Lengthscale, g.Hyper.NoiseStd*g.Hyper.NoiseStd)
-	var (
-		ch    *linalg.Cholesky
-		added float64
-		err   error
-	)
-	if n >= blockedFitMinN {
-		// Large fits amortize goroutine fan-out: the blocked factorization is
-		// bit-identical at every worker count, though not to the serial path —
-		// which is why the threshold sits far above every golden-pinned fit.
-		ch, added, err = linalg.ParallelCholeskyWithJitter(k, 1e-8, 8, 0)
-	} else {
-		ch, added, err = linalg.CholeskyWithJitter(k, 1e-8, 8)
-	}
+	ch, _, err := linalg.CholeskyWithJitter(k, 1e-8, 8)
 	if err != nil {
 		// Invalidate rather than leave a factor sized for the previous
 		// training set: Predict then reports total uncertainty instead of
@@ -246,102 +222,18 @@ func (g *GP) refit() error {
 		g.chol = nil
 		return err
 	}
-	g.setFactor(ch, added)
+	g.setFactor(ch)
 	return nil
 }
 
-// setFactor installs ch, the factor of the kernel matrix with added jitter,
-// and solves for alpha.
-func (g *GP) setFactor(ch *linalg.Cholesky, added float64) {
+// setFactor installs ch, the factor of the kernel matrix, and solves for
+// alpha.
+func (g *GP) setFactor(ch *linalg.Cholesky) {
 	n := ch.L.R
 	g.chol = ch
-	g.jitter = added
 	g.alpha = resize(g.alpha, n)
 	ch.SolveVecInto(g.alpha, g.ys)
 	g.growWorkspaces(n)
-}
-
-// Append conditions a fitted GP on one more observation without changing
-// hyperparameters. The distance cache gains a row, the Cholesky factor is
-// extended by a bordered row in O(n²) (bit-identical to refactorizing the
-// extended matrix from scratch), targets are re-standardized, and alpha is
-// re-solved. When the extension is not positive definite — or the previous
-// factorization needed extra jitter — it falls back to a full refit.
-func (g *GP) Append(x []float64, y float64) error {
-	if g.chol == nil {
-		return errors.New("gp: Append before Fit")
-	}
-	n, d := g.x.R, g.x.C
-	if len(x) != d {
-		return errors.New("gp: Append dimension mismatch")
-	}
-	m := n + 1
-	nx := linalg.New(m, d)
-	copy(nx.Data, g.x.Data)
-	copy(nx.Data[n*d:], x)
-	nd2 := linalg.New(m, m)
-	for i := 0; i < n; i++ {
-		copy(nd2.Data[i*m:i*m+n], g.d2.Data[i*n:(i+1)*n])
-	}
-	xn := nx.Data[n*d : m*d]
-	for i := 0; i < n; i++ {
-		xi := nx.Data[i*d : (i+1)*d]
-		var s float64
-		for k, v := range xi {
-			diff := v - xn[k]
-			s += diff * diff
-		}
-		nd2.Data[i*m+n] = s
-		nd2.Data[n*m+i] = s
-	}
-	nd2.Data[n*m+n] = 0
-	g.x, g.d2 = nx, nd2
-
-	g.yRaw = append(g.yRaw, y)
-	g.yMean = stat.Mean(g.yRaw)
-	g.yStd = stat.Std(g.yRaw)
-	if g.yStd < 1e-12 {
-		g.yStd = 1
-	}
-	g.ys = resize(g.ys, m)
-	for i, v := range g.yRaw {
-		g.ys[i] = (v - g.yMean) / g.yStd
-	}
-
-	if g.jitter != 0 {
-		// The live factor carries stepwise jitter whose addition order a
-		// bordered row cannot reproduce exactly; refactorize instead.
-		return g.refit()
-	}
-	sv, l := g.Hyper.SignalVar, g.Hyper.Lengthscale
-	row := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row[i] = sv * g.baseAt(nd2.Data[n*m+i], l)
-	}
-	noise := g.Hyper.NoiseStd * g.Hyper.NoiseStd
-	diag := sv*g.baseAt(0, l) + (noise + 1e-8)
-	ch, err := g.chol.Extend(row, diag)
-	if err != nil {
-		return g.refit()
-	}
-	g.chol = ch
-	g.alpha = resize(g.alpha, m)
-	ch.SolveVecInto(g.alpha, g.ys)
-	g.growWorkspaces(m)
-	return nil
-}
-
-// baseAt evaluates the unit-signal-variance kernel at squared distance d2,
-// with the same arithmetic as baseKernelInto.
-func (g *GP) baseAt(d2, l float64) float64 {
-	switch g.Kernel {
-	case Matern52:
-		r := math.Sqrt(d2) / l
-		s5 := sqrt5 * r
-		return (1 + s5 + 5*r*r/3) * math.Exp(-s5)
-	default:
-		return math.Exp(-d2 / (2 * l * l))
-	}
 }
 
 // logMarginal returns the log marginal likelihood under the current

@@ -192,56 +192,6 @@ func TestGoldenFitPredictEI(t *testing.T) {
 	}
 }
 
-// TestAppendMatchesFullFit: conditioning on one new observation via the
-// bordered Cholesky must agree bit for bit with refitting the whole
-// training set from scratch under the same hyperparameters.
-func TestAppendMatchesFullFit(t *testing.T) {
-	for _, kernel := range []KernelKind{SquaredExponential, Matern52} {
-		xs, ys := goldenData(24, 3, 9)
-		inc := New(kernel)
-		if err := inc.Fit(xs[:20], ys[:20], true); err != nil {
-			t.Fatal(err)
-		}
-		h := inc.Hyper
-		for i := 20; i < 24; i++ {
-			if err := inc.Append(xs[i], ys[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		full := New(kernel)
-		full.Hyper = h
-		if err := full.Fit(xs, ys, false); err != nil {
-			t.Fatal(err)
-		}
-		if inc.TrainingSize() != 24 {
-			t.Fatalf("TrainingSize = %d after appends", inc.TrainingSize())
-		}
-		rng := rand.New(rand.NewSource(10))
-		for i := 0; i < 25; i++ {
-			p := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-			am, as := inc.Predict(p)
-			fm, fs := full.Predict(p)
-			if am != fm || as != fs {
-				t.Fatalf("kernel %v: Append diverged from full fit at %v: (%v,%v) vs (%v,%v)",
-					kernel, p, am, as, fm, fs)
-			}
-		}
-	}
-}
-
-func TestAppendErrors(t *testing.T) {
-	g := New(Matern52)
-	if err := g.Append([]float64{0.5}, 1); err == nil {
-		t.Error("Append before Fit should error")
-	}
-	if err := g.Fit([][]float64{{0.2, 0.3}, {0.7, 0.9}}, []float64{1, 2}, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Append([]float64{0.5}, 1); err == nil {
-		t.Error("dimension mismatch should error")
-	}
-}
-
 // TestFitCopiesInputs: the model must not alias the caller's slices — later
 // mutation of the training rows cannot corrupt predictions.
 func TestFitCopiesInputs(t *testing.T) {
@@ -361,11 +311,9 @@ func TestBatchedScoringConcurrentInstances(t *testing.T) {
 				points = append(points, []float64{rng.Float64(), rng.Float64()})
 			}
 			scores := g.ScoreCandidates(points, ys[0], nil)
-			for i := 16; i < 18; i++ {
-				if err := g.Append(xs[i], ys[i]); err != nil {
-					t.Error(err)
-					return
-				}
+			if err := g.Fit(xs, ys, true); err != nil {
+				t.Error(err)
+				return
 			}
 			_ = g.ScoreCandidates(points, ys[0], scores)
 		}(int64(20 + w))

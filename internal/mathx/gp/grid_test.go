@@ -66,7 +66,7 @@ func gridProbes(d int, seed int64) [][]float64 {
 
 // TestGridCacheMatchesFreshFits refits one GP through the cases a tuning
 // session and a careless caller produce — growth by 1 and by 4 rows,
-// appends between refits, a changed earlier row, a shrunk set, exact
+// runs of single-row refits, a changed earlier row, a shrunk set, exact
 // duplicates, a row that makes every candidate indefinite, crossing the
 // optimize threshold, and crossing gridCacheMaxN — and requires every step
 // to match a fresh GP fit on the same data bit for bit.
@@ -96,12 +96,10 @@ func TestGridCacheMatchesFreshFits(t *testing.T) {
 		fit("grow by 1", xs[:9], ys[:9], gridSize)
 		fit("grow by 4", xs[:13], ys[:13], gridSize)
 		fit("refit unchanged rows", xs[:13], ys[:13], gridSize)
-		for i := 13; i < 16; i++ {
-			if err := g.Append(xs[i], ys[i]); err != nil {
-				t.Fatal(err)
-			}
+		for i := 14; i <= 16; i++ {
+			fit("grow by 1 again", xs[:i], ys[:i], gridSize)
 		}
-		fit("grow after appends", xs[:17], ys[:17], gridSize)
+		fit("grow after single-row refits", xs[:17], ys[:17], gridSize)
 		fit("grow by 4 again", xs[:21], ys[:21], gridSize)
 
 		changed := append([][]float64(nil), xs[:25]...)

@@ -1,7 +1,6 @@
 package gp
 
 import (
-	"errors"
 	"math"
 	"runtime"
 
@@ -11,8 +10,7 @@ import (
 // SparseGP is an inducing-point Gaussian process (FITC — fully independent
 // training conditional) over m ≪ n deterministic greedy k-center inducing
 // points. It bends the exact GP's asymptote: Fit costs O(n·m²) instead of
-// O(n³), Predict O(m²) instead of O(n²), and Append O(n·m + m²) via a
-// rank-1 Cholesky update of the information matrix. As m → n it converges
+// O(n³) and Predict O(m²) instead of O(n²). As m → n it converges
 // to the exact GP (at m = n the FITC correction vanishes and the two agree
 // up to floating-point grouping).
 //
@@ -36,22 +34,21 @@ type SparseGP struct {
 	// (0 = GOMAXPROCS). Results are bit-identical at every value.
 	Workers int
 
-	x         *linalg.Matrix // n×d training inputs (deep copy)
-	yRaw      []float64
-	yMean     float64
-	yStd      float64
-	ys        []float64
-	inducing  []int          // ascending row indices of the inducing set
-	z         *linalg.Matrix // m×d inducing inputs
-	lm        *linalg.Cholesky
-	knm       *linalg.Matrix // n×m cross-kernel rows
-	lam       []float64      // FITC diagonal Λᵢ (includes noise)
-	la        *linalg.Cholesky
-	alpha     []float64
-	jitterKmm float64
-	wsK       []float64 // m: kernel vector at the query point
-	wsU       []float64 // m: Lmm forward-solve scratch
-	wsW       []float64 // m: La forward-solve scratch
+	x        *linalg.Matrix // n×d training inputs (deep copy)
+	yRaw     []float64
+	yMean    float64
+	yStd     float64
+	ys       []float64
+	inducing []int          // ascending row indices of the inducing set
+	z        *linalg.Matrix // m×d inducing inputs
+	lm       *linalg.Cholesky
+	knm      *linalg.Matrix // n×m cross-kernel rows
+	lam      []float64      // FITC diagonal Λᵢ (includes noise)
+	la       *linalg.Cholesky
+	alpha    []float64
+	wsK      []float64 // m: kernel vector at the query point
+	wsU      []float64 // m: Lmm forward-solve scratch
+	wsW      []float64 // m: La forward-solve scratch
 }
 
 // NewSparse returns a sparse GP with the given kernel and the exact GP's
@@ -143,12 +140,12 @@ func (s *SparseGP) refit() error {
 		}
 	}
 	kmm.AddDiag(1e-8)
-	lm, added, err := linalg.CholeskyWithJitter(kmm, 1e-8, 8)
+	lm, _, err := linalg.CholeskyWithJitter(kmm, 1e-8, 8)
 	if err != nil {
 		s.invalidate()
 		return err
 	}
-	s.lm, s.jitterKmm = lm, added
+	s.lm = lm
 
 	// Cross-kernel rows and the whitened rows V = (Lmm⁻¹·Knmᵀ)ᵀ.
 	s.knm = linalg.New(n, m)
@@ -222,55 +219,6 @@ func (s *SparseGP) workers() int {
 
 func (s *SparseGP) invalidate() {
 	s.lm, s.la = nil, nil
-}
-
-// Append implements Surrogate: one new observation with the inducing set
-// and hyperparameters frozen. The information matrix absorbs the point as
-// a rank-1 Cholesky update and alpha is re-solved against the
-// re-standardized targets — O(n·m + m²) total, no refactorization.
-func (s *SparseGP) Append(x []float64, y float64) error {
-	if s.la == nil {
-		return errors.New("gp: sparse Append before Fit")
-	}
-	n, d := s.x.R, s.x.C
-	if len(x) != d {
-		return errors.New("gp: sparse Append dimension mismatch")
-	}
-	m := len(s.inducing)
-	nx := linalg.New(n+1, d)
-	copy(nx.Data, s.x.Data)
-	copy(nx.Data[n*d:], x)
-	s.x = nx
-	s.yRaw = append(s.yRaw, y)
-	s.ys, s.yMean, s.yStd = standardize(s.ys, s.yRaw)
-
-	nknm := linalg.New(n+1, m)
-	copy(nknm.Data, s.knm.Data)
-	row := nknm.Data[n*m : (n+1)*m]
-	s.kernelRowInto(row, x)
-	s.knm = nknm
-
-	u := s.wsU[:m]
-	s.lm.SolveLowerInto(u, row)
-	var q float64
-	for _, w := range u {
-		q += w * w
-	}
-	noise := s.Hyper.NoiseStd*s.Hyper.NoiseStd + 1e-8
-	li := s.Hyper.SignalVar - q + noise
-	if li < 1e-10 {
-		li = 1e-10
-	}
-	s.lam = append(s.lam, li)
-
-	v := make([]float64, m)
-	inv := 1 / math.Sqrt(li)
-	for j, kv := range row {
-		v[j] = kv * inv
-	}
-	s.la.Rank1Update(v)
-	s.solveAlpha()
-	return nil
 }
 
 // Predict implements Surrogate. An unfitted sparse GP returns (0, +Inf).
@@ -348,8 +296,8 @@ func (s *SparseGP) growWorkspaces(m int) {
 }
 
 // baseKernelAt evaluates the unit-signal-variance kernel at squared
-// distance d2 — the same arithmetic as the exact GP's baseAt, shared so the
-// tiers agree on kernel values bit-for-bit.
+// distance d2 — the same arithmetic as the exact GP's baseKernelInto, so
+// the tiers agree on kernel values bit-for-bit.
 func baseKernelAt(kernel KernelKind, d2, l float64) float64 {
 	switch kernel {
 	case Matern52:

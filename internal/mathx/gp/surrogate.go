@@ -10,21 +10,17 @@ import (
 )
 
 // Surrogate is the model surface the GP-based tuners program against: the
-// exact GP below, the sparse inducing-point GP, and the random-Fourier-
-// feature regressor all implement it, so iTuned and OtterTune consume any
-// tier unchanged. The contract mirrors the exact GP's: observations are
-// standardized internally, an unfitted surrogate predicts (0, +Inf) — and
-// scores 0 expected improvement — rather than panicking, Append conditions
-// on one observation with hyperparameters frozen, and none of the methods
-// are safe for concurrent use on one instance (they share per-instance
-// workspaces to stay allocation-free).
+// exact GP and the sparse inducing-point GP both implement it, so iTuned
+// and OtterTune consume either tier unchanged. The contract mirrors the
+// exact GP's: observations are standardized internally, an unfitted
+// surrogate predicts (0, +Inf) — and scores 0 expected improvement —
+// rather than panicking, and none of the methods are safe for concurrent
+// use on one instance (they share per-instance workspaces to stay
+// allocation-free).
 type Surrogate interface {
 	// Fit conditions the surrogate on (x, y), selecting hyperparameters
 	// when optimize is set. Rows of x are deep-copied.
 	Fit(x [][]float64, y []float64, optimize bool) error
-	// Append conditions on one more observation with hyperparameters (and,
-	// for the sparse tier, the inducing set) unchanged.
-	Append(x []float64, y float64) error
 	// Predict returns the posterior mean and standard deviation at p in
 	// original y units; (0, +Inf) before a successful Fit.
 	Predict(p []float64) (mu, sigma float64)
@@ -40,7 +36,7 @@ type Surrogate interface {
 	LCB(p []float64, beta float64) float64
 	// TrainingSize returns the number of conditioning observations.
 	TrainingSize() int
-	// Tier names the surrogate tier ("exact", "sparse", "rff").
+	// Tier names the surrogate tier ("exact", "sparse").
 	Tier() string
 }
 
@@ -48,7 +44,6 @@ type Surrogate interface {
 var (
 	_ Surrogate = (*GP)(nil)
 	_ Surrogate = (*SparseGP)(nil)
-	_ Surrogate = (*RFF)(nil)
 )
 
 // expectedImprovement is the shared EI arithmetic: identical to the exact
@@ -193,12 +188,11 @@ func subsetHypers(kernel KernelKind, x *linalg.Matrix, yRaw []float64, subset []
 }
 
 // accumGram accumulates base + Σᵢ wᵢ·rowᵢ·rowᵢᵀ over the rows of rows,
-// returning a new m×m symmetric matrix. weights may be nil (all 1). The sum
-// is chunked at a fixed width and the per-chunk partial matrices are merged
-// in chunk order, so the result is bit-identical at every worker count: the
-// chunk boundaries — not the worker count — define the floating-point
-// grouping. This is the O(n·m²) information-matrix build shared by the
-// sparse GP (A = Kmm + Kmn·Λ⁻¹·Knm) and the RFF regressor (G = ΦᵀΦ + λI).
+// returning a new m×m symmetric matrix. The sum is chunked at a fixed
+// width and the per-chunk partial matrices are merged in chunk order, so
+// the result is bit-identical at every worker count: the chunk boundaries —
+// not the worker count — define the floating-point grouping. This is the
+// sparse GP's O(n·m²) information-matrix build, A = Kmm + Kmn·Λ⁻¹·Knm.
 func accumGram(base *linalg.Matrix, rows *linalg.Matrix, weights []float64, workers int) *linalg.Matrix {
 	const gramChunk = 256
 	n, m := rows.R, rows.C
@@ -214,10 +208,7 @@ func accumGram(base *linalg.Matrix, rows *linalg.Matrix, weights []float64, work
 		}
 		for i := lo; i < hi; i++ {
 			row := rows.Data[i*m : (i+1)*m]
-			w := 1.0
-			if weights != nil {
-				w = weights[i]
-			}
+			w := weights[i]
 			for a := 0; a < m; a++ {
 				va := w * row[a]
 				if va == 0 {

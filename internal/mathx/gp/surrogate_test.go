@@ -125,99 +125,6 @@ func TestSparseConvergesWithInducing(t *testing.T) {
 	}
 }
 
-// TestRFFConvergesToExact pins the D → ∞ limit on a fixed seed: more random
-// features must shrink the gap to the exact GP posterior mean.
-func TestRFFConvergesToExact(t *testing.T) {
-	xs, ys := surfaceData(40, 3)
-	for _, kernel := range []KernelKind{SquaredExponential, Matern52} {
-		ex := New(kernel)
-		if err := ex.Fit(xs, ys, false); err != nil {
-			t.Fatal(err)
-		}
-		rmse := func(D int) float64 {
-			rf := NewRFF(kernel, D, 9)
-			rf.Hyper = ex.Hyper
-			if err := rf.Fit(xs, ys, false); err != nil {
-				t.Fatal(err)
-			}
-			var s float64
-			pts := testGrid()
-			for _, p := range pts {
-				em, _ := ex.Predict(p)
-				rm, _ := rf.Predict(p)
-				s += (em - rm) * (em - rm)
-			}
-			return math.Sqrt(s / float64(len(pts)))
-		}
-		coarse, fine := rmse(64), rmse(1024)
-		if fine > coarse {
-			t.Fatalf("kernel %v: rff error grew with features: D=64 %v, D=1024 %v", kernel, coarse, fine)
-		}
-		if fine > 0.1 {
-			t.Fatalf("kernel %v: rff D=1024 too far from exact: rmse %v", kernel, fine)
-		}
-	}
-}
-
-// TestRFFAppendMatchesFullFit: the spectrum depends only on (seed, d), so
-// appending observations one at a time must land where a fresh Fit over the
-// full set lands (same hyperparameters), up to rank-1-update rounding.
-func TestRFFAppendMatchesFullFit(t *testing.T) {
-	xs, ys := surfaceData(30, 4)
-	inc := NewRFF(SquaredExponential, 128, 5)
-	if err := inc.Fit(xs[:20], ys[:20], false); err != nil {
-		t.Fatal(err)
-	}
-	for i := 20; i < 30; i++ {
-		if err := inc.Append(xs[i], ys[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	full := NewRFF(SquaredExponential, 128, 5)
-	full.Hyper = inc.Hyper
-	if err := full.Fit(xs, ys, false); err != nil {
-		t.Fatal(err)
-	}
-	if inc.TrainingSize() != 30 || full.TrainingSize() != 30 {
-		t.Fatalf("training sizes %d, %d", inc.TrainingSize(), full.TrainingSize())
-	}
-	for _, p := range testGrid() {
-		am, as := inc.Predict(p)
-		fm, fs := full.Predict(p)
-		if math.Abs(am-fm) > 1e-6 || math.Abs(as-fs) > 1e-6 {
-			t.Fatalf("at %v: append (%v, %v) vs full fit (%v, %v)", p, am, as, fm, fs)
-		}
-	}
-}
-
-// TestSparseAppendConditionsOnNewData: Append must actually absorb the new
-// observation (frozen inducing set), pulling the posterior mean toward it.
-func TestSparseAppendConditionsOnNewData(t *testing.T) {
-	xs, ys := surfaceData(50, 6)
-	sp := NewSparse(Matern52)
-	sp.MaxInducing = 25
-	if err := sp.Fit(xs[:40], ys[:40], true); err != nil {
-		t.Fatal(err)
-	}
-	for i := 40; i < 50; i++ {
-		before, _ := sp.Predict(xs[i])
-		if err := sp.Append(xs[i], ys[i]); err != nil {
-			t.Fatal(err)
-		}
-		after, _ := sp.Predict(xs[i])
-		if math.Abs(after-ys[i]) > math.Abs(before-ys[i])+1e-9 {
-			t.Fatalf("append at %v moved prediction away from observation: |%v-%v| vs |%v-%v|",
-				xs[i], after, ys[i], before, ys[i])
-		}
-	}
-	if sp.TrainingSize() != 50 {
-		t.Fatalf("training size %d, want 50", sp.TrainingSize())
-	}
-	if sp.InducingCount() != 25 {
-		t.Fatalf("append must freeze the inducing set, got %d", sp.InducingCount())
-	}
-}
-
 // TestSparseWorkerCountInvariance pins the parallel-fit determinism
 // contract: the fitted model's predictions are bit-identical at any worker
 // count.
@@ -247,12 +154,12 @@ func TestSparseWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestUnfittedSurrogateGuards pins the shared pre-Fit contract across all
-// three tiers: (0, +Inf) predictions, zero EI scores, no panics — the
+// TestUnfittedSurrogateGuards pins the shared pre-Fit contract across both
+// tiers: (0, +Inf) predictions, zero EI scores, no panics — the
 // regression test for the batched-path guard fix.
 func TestUnfittedSurrogateGuards(t *testing.T) {
 	pts := [][]float64{{0.2, 0.8}, {0.5, 0.5}}
-	for _, s := range []Surrogate{New(Matern52), NewSparse(Matern52), NewRFF(Matern52, 32, 0)} {
+	for _, s := range []Surrogate{New(Matern52), NewSparse(Matern52)} {
 		mu, sigma := s.Predict(pts[0])
 		if mu != 0 || !math.IsInf(sigma, 1) {
 			t.Fatalf("%s: unfitted Predict = (%v, %v), want (0, +Inf)", s.Tier(), mu, sigma)
@@ -272,9 +179,6 @@ func TestUnfittedSurrogateGuards(t *testing.T) {
 				t.Fatalf("%s: unfitted ScoreCandidates[%d] = %v, want 0", s.Tier(), i, v)
 			}
 		}
-		if err := s.Append(pts[0], 1); err == nil {
-			t.Fatalf("%s: Append before Fit must error", s.Tier())
-		}
 		if n := s.TrainingSize(); n != 0 {
 			t.Fatalf("%s: unfitted TrainingSize = %d", s.Tier(), n)
 		}
@@ -287,9 +191,6 @@ func TestSurrogateTierNames(t *testing.T) {
 	}
 	if tier := NewSparse(Matern52).Tier(); tier != "sparse" {
 		t.Fatalf("sparse tier = %q", tier)
-	}
-	if tier := NewRFF(Matern52, 0, 0).Tier(); tier != "rff" {
-		t.Fatalf("rff tier = %q", tier)
 	}
 }
 
@@ -304,20 +205,10 @@ func TestSurrogateFitErrors(t *testing.T) {
 		{"ragged", [][]float64{{1, 2}, {3}}, []float64{1, 2}},
 	}
 	for _, c := range cases {
-		for _, s := range []Surrogate{NewSparse(Matern52), NewRFF(Matern52, 16, 0)} {
+		for _, s := range []Surrogate{New(Matern52), NewSparse(Matern52)} {
 			if err := s.Fit(c.x, c.y, false); err == nil {
 				t.Fatalf("%s/%s: Fit accepted invalid training set", s.Tier(), c.name)
 			}
-		}
-	}
-	// Append dimension mismatch after a valid fit.
-	xs, ys := surfaceData(10, 11)
-	for _, s := range []Surrogate{NewSparse(Matern52), NewRFF(Matern52, 16, 0)} {
-		if err := s.Fit(xs, ys, false); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Append([]float64{0.5}, 1); err == nil {
-			t.Fatalf("%s: Append accepted wrong dimension", s.Tier())
 		}
 	}
 }
@@ -327,7 +218,7 @@ func TestSurrogateFitErrors(t *testing.T) {
 // and not degrade the fit.
 func TestSurrogateOptimizeSelectsHypers(t *testing.T) {
 	xs, ys := surfaceData(120, 12)
-	for _, s := range []Surrogate{NewSparse(SquaredExponential), NewRFF(SquaredExponential, 256, 1)} {
+	for _, s := range []Surrogate{NewSparse(SquaredExponential)} {
 		if err := s.Fit(xs, ys, true); err != nil {
 			t.Fatal(err)
 		}
@@ -345,10 +236,10 @@ func TestSurrogateOptimizeSelectsHypers(t *testing.T) {
 	}
 }
 
-// TestExactGPBlockedRefitPath drives the exact GP across the blocked-
-// Cholesky threshold and checks the factorization still conditions
-// correctly (training-point interpolation with low noise).
-func TestExactGPBlockedRefitPath(t *testing.T) {
+// TestExactGPLargeRefit fits the exact GP well past the sizes a tuning
+// session reaches and checks the factorization still conditions correctly
+// (training-point interpolation with low noise).
+func TestExactGPLargeRefit(t *testing.T) {
 	xs, ys := surfaceData(300, 13)
 	g := New(SquaredExponential)
 	g.Hyper = Hyper{SignalVar: 1, Lengthscale: 0.3, NoiseStd: 0.01}
@@ -358,13 +249,13 @@ func TestExactGPBlockedRefitPath(t *testing.T) {
 	for i := 0; i < 300; i += 37 {
 		mu, _ := g.Predict(xs[i])
 		if math.Abs(mu-ys[i]) > 0.05 {
-			t.Fatalf("blocked-path fit interpolates poorly at %d: %v vs %v", i, mu, ys[i])
+			t.Fatalf("large fit interpolates poorly at %d: %v vs %v", i, mu, ys[i])
 		}
 	}
 }
 
-// TestSparseLCBFinite exercises the acquisition helpers on a fitted sparse
-// model.
+// TestSparseAcquisitions exercises the acquisition helpers on fitted
+// sparse and exact models.
 func TestSparseAcquisitions(t *testing.T) {
 	xs, ys := surfaceData(30, 14)
 	sp := NewSparse(SquaredExponential)
@@ -372,11 +263,11 @@ func TestSparseAcquisitions(t *testing.T) {
 	if err := sp.Fit(xs, ys, false); err != nil {
 		t.Fatal(err)
 	}
-	rf := NewRFF(SquaredExponential, 128, 2)
-	if err := rf.Fit(xs, ys, false); err != nil {
+	ex := New(SquaredExponential)
+	if err := ex.Fit(xs, ys, false); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Surrogate{sp, rf} {
+	for _, s := range []Surrogate{sp, ex} {
 		p := []float64{0.3, 0.7}
 		if ei := s.ExpectedImprovement(p, 2); !(ei >= 0) || math.IsInf(ei, 0) {
 			t.Fatalf("%s: EI = %v", s.Tier(), ei)

@@ -172,6 +172,12 @@ type FileStore struct {
 	walBytes  int64          // bytes in the WAL since the last fold
 	nextID    int64
 
+	// Automatic tail folds that failed, and the latest failure's error.
+	// The triggering mutation succeeds regardless; these make the failure
+	// visible instead of leaving an ever-growing WAL unexplained.
+	foldFailures int
+	foldErr      error
+
 	// Lazy feature-space index over the live corpus; refs maps its walk
 	// positions back to records. Invalidated by deletes, preserved (with
 	// refs rebuilt) across folds, which keep the live order.
@@ -764,13 +770,25 @@ func (s *FileStore) RankIDs(system string, features map[string]float64, limit in
 // CompactEvery entries or CompactBytes bytes — whichever fires first. Fold
 // failure is not an error for the triggering mutation — the mutation itself
 // is already durable in the log; the oversized WAL will be retried on the
-// next mutation and folded at the latest on reopen.
+// next mutation and folded at the latest on reopen. The failure is counted
+// and its error kept for FoldFailures.
 func (s *FileStore) maybeCompactLocked() {
 	byCount := s.CompactEvery > 0 && s.walLen >= s.CompactEvery
 	bySize := s.CompactBytes > 0 && s.walBytes >= s.CompactBytes
 	if byCount || bySize {
-		_ = s.foldTailLocked()
+		if err := s.foldTailLocked(); err != nil {
+			s.foldFailures++
+			s.foldErr = err
+		}
 	}
+}
+
+// FoldFailures reports how many automatic tail folds have failed since Open
+// and the latest failure's error (nil when none has).
+func (s *FileStore) FoldFailures() (int, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.foldFailures, s.foldErr
 }
 
 // foldTailLocked turns the WAL tail into a new committed segment: segment

@@ -118,6 +118,45 @@ func TestStoreDeleteSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestFoldFailuresCounted: an automatic tail fold that cannot write its
+// segment (here the segment path is taken by a directory) leaves the
+// triggering Append successful, and is counted with its error; once the
+// path clears, the next fold succeeds and nothing is lost.
+func TestFoldFailuresCounted(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	s.CompactEvery = 2
+	blocked := filepath.Join(dir, segName(s.man.Seq))
+	if err := os.MkdirAll(filepath.Join(blocked, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := s.Append(rec("dbms", "tpch", i)); err != nil {
+			t.Fatalf("append %d with the segment path blocked: %v", i, err)
+		}
+	}
+	n, err := s.FoldFailures()
+	if n != 1 || err == nil || !strings.Contains(err.Error(), "segment") {
+		t.Fatalf("FoldFailures = (%d, %v), want one segment write failure", n, err)
+	}
+	if err := os.RemoveAll(blocked); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append(rec("dbms", "tpch", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := s.FoldFailures(); n != 1 {
+		t.Fatalf("FoldFailures = %d after a successful fold, want 1", n)
+	}
+	if s.walLen != 0 {
+		t.Fatalf("WAL holds %d entries after the unblocked fold", s.walLen)
+	}
+	s.Close()
+	if got := sessions(t, open(t, dir)); len(got) != 3 {
+		t.Fatalf("after reopen: %d records, want 3", len(got))
+	}
+}
+
 func TestStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)

@@ -8,60 +8,44 @@ import (
 
 // Surrogate tier names accepted by SurrogateConfig.Tier.
 const (
-	// SurrogateAuto switches exact → sparse → RFF by training-set size and
-	// dimensionality (the default).
+	// SurrogateAuto switches exact → sparse by training-set size (the
+	// default).
 	SurrogateAuto = "auto"
 	// SurrogateExact always fits the exact O(n³) GP.
 	SurrogateExact = "exact"
 	// SurrogateSparse always fits the inducing-point (FITC) GP.
 	SurrogateSparse = "sparse"
-	// SurrogateRFF always fits the random-Fourier-feature regressor.
-	SurrogateRFF = "rff"
 )
 
-// rffDimAbove is the input dimensionality above which auto mode prefers RFF
-// over the sparse GP: inducing-point coverage of a high-dimensional cube
-// degrades (k-center needs exponentially many centers), while RFF cost is
-// dimension-independent past the feature projection.
-const rffDimAbove = 32
-
 // SurrogateConfig selects the GP surrogate tier for the model-based tuners
-// and carries the switch-over thresholds on specs and wire forms, so a
+// and carries the switch-over threshold on specs and wire forms, so a
 // session's tier schedule — and therefore its event stream — is a pure
 // function of the spec at any parallelism. The zero value means auto with
-// the default thresholds.
+// the default threshold.
 type SurrogateConfig struct {
-	// Tier is one of "auto", "exact", "sparse", "rff" ("" = auto).
+	// Tier is one of "auto", "exact", "sparse" ("" = auto).
 	Tier string `json:"tier,omitempty"`
 	// SparseAbove is the training-set size beyond which auto mode leaves the
 	// exact tier (default 160). Below it the exact path is byte-identical to
 	// a build without any surrogate config.
 	SparseAbove int `json:"sparse_above,omitempty"`
-	// RFFAbove is the training-set size beyond which auto mode switches from
-	// sparse to RFF (default 1500).
-	RFFAbove int `json:"rff_above,omitempty"`
 	// Inducing caps the sparse tier's inducing-point count m (default 64).
 	Inducing int `json:"inducing,omitempty"`
-	// Features is the RFF tier's random feature count D (default 128).
-	Features int `json:"features,omitempty"`
 }
 
-// Validate rejects unknown tiers and non-sensical thresholds. A nil config
-// is valid (auto everywhere).
+// Validate rejects unknown tiers and negative thresholds. A nil config is
+// valid (auto everywhere).
 func (c *SurrogateConfig) Validate() error {
 	if c == nil {
 		return nil
 	}
 	switch c.Tier {
-	case "", SurrogateAuto, SurrogateExact, SurrogateSparse, SurrogateRFF:
+	case "", SurrogateAuto, SurrogateExact, SurrogateSparse:
 	default:
 		return fmt.Errorf("tune: unknown surrogate tier %q", c.Tier)
 	}
-	if c.SparseAbove < 0 || c.RFFAbove < 0 || c.Inducing < 0 || c.Features < 0 {
+	if c.SparseAbove < 0 || c.Inducing < 0 {
 		return fmt.Errorf("tune: surrogate thresholds must be non-negative")
-	}
-	if c.SparseAbove > 0 && c.RFFAbove > 0 && c.RFFAbove < c.SparseAbove {
-		return fmt.Errorf("tune: surrogate rff_above (%d) below sparse_above (%d)", c.RFFAbove, c.SparseAbove)
 	}
 	return nil
 }
@@ -78,14 +62,8 @@ func (c *SurrogateConfig) withDefaults() SurrogateConfig {
 	if out.SparseAbove == 0 {
 		out.SparseAbove = 160
 	}
-	if out.RFFAbove == 0 {
-		out.RFFAbove = 1500
-	}
 	if out.Inducing == 0 {
 		out.Inducing = 64
-	}
-	if out.Features == 0 {
-		out.Features = 128
 	}
 	return out
 }
@@ -106,54 +84,44 @@ func NewSurrogateSelector(cfg *SurrogateConfig) *SurrogateSelector {
 // Config returns the resolved (defaults-filled) configuration.
 func (s *SurrogateSelector) Config() SurrogateConfig { return s.cfg }
 
-// TierFor returns the tier a model over n observations of dimension d should
-// use: the forced tier when one is configured, otherwise exact while
-// n ≤ SparseAbove, RFF past RFFAbove observations or above rffDimAbove
-// dimensions, and sparse in between.
-func (s *SurrogateSelector) TierFor(n, d int) string {
+// TierFor returns the tier a model over n observations should use: the
+// forced tier when one is configured, otherwise exact while
+// n ≤ SparseAbove and sparse beyond it.
+func (s *SurrogateSelector) TierFor(n int) string {
 	if s.cfg.Tier != SurrogateAuto {
 		return s.cfg.Tier
 	}
 	if n <= s.cfg.SparseAbove {
 		return SurrogateExact
 	}
-	if n > s.cfg.RFFAbove || d > rffDimAbove {
-		return SurrogateRFF
-	}
 	return SurrogateSparse
 }
 
-// New constructs a fresh surrogate of the given tier. The seed feeds the RFF
-// spectral sampler, so sessions differing only in seed explore different
-// feature draws while staying individually deterministic. Exact-tier
+// New constructs a fresh surrogate of the given tier. Exact-tier
 // construction is exactly gp.New — the historical code path — which is what
 // keeps below-threshold sessions byte-identical to builds without a
 // surrogate config.
-func (s *SurrogateSelector) New(kernel gp.KernelKind, tier string, seed int64) gp.Surrogate {
-	switch tier {
-	case SurrogateSparse:
+func (s *SurrogateSelector) New(kernel gp.KernelKind, tier string) gp.Surrogate {
+	if tier == SurrogateSparse {
 		sp := gp.NewSparse(kernel)
 		sp.MaxInducing = s.cfg.Inducing
 		return sp
-	case SurrogateRFF:
-		return gp.NewRFF(kernel, s.cfg.Features, seed)
-	default:
-		return gp.New(kernel)
 	}
+	return gp.New(kernel)
 }
 
-// Refit returns the surrogate a re-optimization round fits: prev itself
-// when it is an exact GP of the same kernel and the round stays on the
-// exact tier with a hyperparameter search, and a fresh New otherwise. A
-// carried exact GP borders its hyperparameter grid's cached factors by
-// the rows observed since the last round instead of refactoring them, and
-// its optimizing Fit is bit-identical to a fresh gp.New's. A fresh model
-// drops that cache once a session leaves the exact tier or stops
-// optimizing — which also keeps a non-optimizing refit on New's default
-// hyperparameters rather than the last ones selected.
-func (s *SurrogateSelector) Refit(prev gp.Surrogate, kernel gp.KernelKind, tier string, seed int64, optimize bool) gp.Surrogate {
+// Refit returns the surrogate a proposal round fits: prev itself when it is
+// an exact GP of the same kernel and the round stays on the exact tier with
+// a hyperparameter search, and a fresh New otherwise. A carried exact GP
+// borders its hyperparameter grid's cached factors by the rows observed
+// since the last round instead of refactoring them, and its optimizing Fit
+// is bit-identical to a fresh gp.New's. A fresh model drops that cache once
+// a session leaves the exact tier or stops optimizing — which also keeps a
+// non-optimizing refit on New's default hyperparameters rather than the
+// last ones selected.
+func (s *SurrogateSelector) Refit(prev gp.Surrogate, kernel gp.KernelKind, tier string, optimize bool) gp.Surrogate {
 	if g, ok := prev.(*gp.GP); ok && optimize && tier == SurrogateExact && g.Kernel == kernel {
 		return g
 	}
-	return s.New(kernel, tier, seed)
+	return s.New(kernel, tier)
 }

@@ -13,8 +13,7 @@ func TestSurrogateConfigValidate(t *testing.T) {
 		{Tier: SurrogateAuto},
 		{Tier: SurrogateExact},
 		{Tier: SurrogateSparse, Inducing: 32},
-		{Tier: SurrogateRFF, Features: 64},
-		{SparseAbove: 100, RFFAbove: 1000},
+		{SparseAbove: 100},
 	}
 	for _, c := range good {
 		if err := c.Validate(); err != nil {
@@ -23,9 +22,9 @@ func TestSurrogateConfigValidate(t *testing.T) {
 	}
 	bad := []*SurrogateConfig{
 		{Tier: "kriging"},
+		{Tier: "rff"},
 		{SparseAbove: -1},
 		{Inducing: -5},
-		{SparseAbove: 500, RFFAbove: 100},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -37,69 +36,61 @@ func TestSurrogateConfigValidate(t *testing.T) {
 func TestSurrogateSelectorTierFor(t *testing.T) {
 	auto := NewSurrogateSelector(nil)
 	cases := []struct {
-		n, d int
+		n    int
 		want string
 	}{
-		{10, 4, SurrogateExact},
-		{160, 4, SurrogateExact}, // at the threshold: still exact
-		{161, 4, SurrogateSparse},
-		{1500, 4, SurrogateSparse},
-		{1501, 4, SurrogateRFF},
-		{200, 40, SurrogateRFF}, // high dimension prefers RFF
+		{10, SurrogateExact},
+		{160, SurrogateExact}, // at the threshold: still exact
+		{161, SurrogateSparse},
+		{1500, SurrogateSparse},
+		{100000, SurrogateSparse}, // no tier above sparse
 	}
 	for _, c := range cases {
-		if got := auto.TierFor(c.n, c.d); got != c.want {
-			t.Errorf("auto TierFor(%d, %d) = %q, want %q", c.n, c.d, got, c.want)
+		if got := auto.TierFor(c.n); got != c.want {
+			t.Errorf("auto TierFor(%d) = %q, want %q", c.n, got, c.want)
 		}
 	}
 	// Forced tiers ignore size.
-	forced := NewSurrogateSelector(&SurrogateConfig{Tier: SurrogateRFF})
-	if got := forced.TierFor(3, 2); got != SurrogateRFF {
-		t.Errorf("forced TierFor = %q, want rff", got)
+	forced := NewSurrogateSelector(&SurrogateConfig{Tier: SurrogateSparse})
+	if got := forced.TierFor(3); got != SurrogateSparse {
+		t.Errorf("forced TierFor = %q, want sparse", got)
 	}
-	// Custom thresholds.
-	custom := NewSurrogateSelector(&SurrogateConfig{SparseAbove: 8, RFFAbove: 20})
-	if got := custom.TierFor(9, 2); got != SurrogateSparse {
+	forced = NewSurrogateSelector(&SurrogateConfig{Tier: SurrogateExact})
+	if got := forced.TierFor(5000); got != SurrogateExact {
+		t.Errorf("forced TierFor = %q, want exact", got)
+	}
+	// Custom threshold.
+	custom := NewSurrogateSelector(&SurrogateConfig{SparseAbove: 8})
+	if got := custom.TierFor(8); got != SurrogateExact {
+		t.Errorf("custom TierFor(8) = %q, want exact", got)
+	}
+	if got := custom.TierFor(9); got != SurrogateSparse {
 		t.Errorf("custom TierFor(9) = %q, want sparse", got)
-	}
-	if got := custom.TierFor(21, 2); got != SurrogateRFF {
-		t.Errorf("custom TierFor(21) = %q, want rff", got)
 	}
 }
 
 func TestSurrogateSelectorDefaults(t *testing.T) {
 	cfg := NewSurrogateSelector(nil).Config()
-	if cfg.Tier != SurrogateAuto || cfg.SparseAbove != 160 || cfg.RFFAbove != 1500 ||
-		cfg.Inducing != 64 || cfg.Features != 128 {
+	if cfg.Tier != SurrogateAuto || cfg.SparseAbove != 160 || cfg.Inducing != 64 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	// Partial configs keep explicit fields and fill the rest.
 	cfg = NewSurrogateSelector(&SurrogateConfig{SparseAbove: 40}).Config()
-	if cfg.SparseAbove != 40 || cfg.RFFAbove != 1500 {
+	if cfg.SparseAbove != 40 || cfg.Inducing != 64 {
 		t.Fatalf("partial defaults = %+v", cfg)
 	}
 }
 
 func TestSurrogateSelectorNew(t *testing.T) {
-	sel := NewSurrogateSelector(&SurrogateConfig{Inducing: 16, Features: 32})
-	if got := sel.New(gp.Matern52, SurrogateExact, 1).Tier(); got != "exact" {
+	sel := NewSurrogateSelector(&SurrogateConfig{Inducing: 16})
+	if got := sel.New(gp.Matern52, SurrogateExact).Tier(); got != "exact" {
 		t.Errorf("New(exact).Tier() = %q", got)
 	}
-	sp := sel.New(gp.Matern52, SurrogateSparse, 1)
+	sp := sel.New(gp.Matern52, SurrogateSparse)
 	if got := sp.Tier(); got != "sparse" {
 		t.Errorf("New(sparse).Tier() = %q", got)
 	}
 	if m := sp.(*gp.SparseGP).MaxInducing; m != 16 {
 		t.Errorf("sparse MaxInducing = %d, want 16", m)
-	}
-	rf := sel.New(gp.Matern52, SurrogateRFF, 7)
-	if got := rf.Tier(); got != "rff" {
-		t.Errorf("New(rff).Tier() = %q", got)
-	}
-	if d := rf.(*gp.RFF).Features; d != 32 {
-		t.Errorf("rff Features = %d, want 32", d)
-	}
-	if s := rf.(*gp.RFF).Seed; s != 7 {
-		t.Errorf("rff Seed = %d, want 7", s)
 	}
 }

@@ -126,39 +126,6 @@ func TestITunedProposerPhases(t *testing.T) {
 	}
 }
 
-// TestITunedReoptimizeEvery: with ReoptimizeEvery > 1 the GP conditions
-// incrementally between hyperparameter searches. The stream must stay
-// deterministic, respect the budget, and still tune.
-func TestITunedReoptimizeEvery(t *testing.T) {
-	b := tune.Budget{Trials: 24}
-	run := func() *tune.TuningResult {
-		it := NewITuned(6)
-		it.ReoptimizeEvery = 3
-		r, err := it.Tune(context.Background(), testTarget(6), b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a, c := run(), run()
-	if len(a.Trials) == 0 || len(a.Trials) > 24 {
-		t.Fatalf("ran %d trials under budget 24", len(a.Trials))
-	}
-	if len(a.Trials) != len(c.Trials) {
-		t.Fatalf("trial counts differ: %d vs %d", len(a.Trials), len(c.Trials))
-	}
-	for i := range a.Trials {
-		if a.Trials[i].Config.String() != c.Trials[i].Config.String() {
-			t.Fatalf("trial %d differs between identical runs", i+1)
-		}
-	}
-	def := testTarget(6).Run(testTarget(6).Space().Default())
-	if a.BestResult.Time >= def.Time {
-		t.Errorf("ReoptimizeEvery=3 run did not improve on default: %v vs %v",
-			a.BestResult.Time, def.Time)
-	}
-}
-
 func TestITunedProposerDeterminism(t *testing.T) {
 	b := tune.Budget{Trials: 16}
 	run := func() []string {

@@ -88,9 +88,9 @@ func (p *gridProposer) Observe(tune.Trial) {}
 // Each GP round screens a pool of uniform candidates with one batched
 // ScoreCandidates call, then polishes the best screened start with a local
 // simplex search — far fewer acquisition evaluations than cold multi-start,
-// and the ones that remain are allocation-free. The model persists across
-// rounds: with ReoptimizeEvery > 1, in-between rounds absorb new
-// observations through gp.Append instead of refitting.
+// and the ones that remain are allocation-free. The exact GP persists
+// across rounds so its hyperparameter grid borders cached factors by the
+// new rows instead of refactoring them.
 type itunedProposer struct {
 	t     *ITuned
 	space *tune.Space
@@ -104,10 +104,8 @@ type itunedProposer struct {
 	bestX     []float64
 	incumbent float64
 
-	model    gp.Surrogate
-	absorbed int // observations the model has conditioned on
-	round    int // GP rounds run
-	scores   []float64
+	model  gp.Surrogate
+	scores []float64
 }
 
 // screenPool is how many uniform candidates each GP round scores in the
@@ -124,40 +122,24 @@ func batchPenalty(x []float64, chosen [][]float64) float64 {
 	return pen
 }
 
-// ensureModel brings the surrogate in sync with the observed history: a full
-// hyperparameter-searched refit on re-optimization rounds, an incremental
-// append otherwise. Reports false when fitting failed (degenerate surface).
-// The surrogate tier is resolved per re-optimization round from the observed
-// history size — sessions grow exact → sparse → RFF as trials accumulate —
-// while below the sparse threshold the selector hands back exactly the
-// historical gp.New path, keeping existing event streams byte-identical.
+// ensureModel refits the surrogate on the observed history. Reports false
+// when fitting failed (degenerate surface). The surrogate tier is resolved
+// per round from the observed history size — sessions move from exact to
+// sparse as trials accumulate — while below the sparse threshold the
+// selector hands back exactly the historical gp.New path, keeping existing
+// event streams byte-identical.
 func (p *itunedProposer) ensureModel() bool {
-	every := p.t.ReoptimizeEvery
-	if every < 1 {
-		every = 1
+	tier := p.sel.TierFor(len(p.xs))
+	// The sparse tier selects hyperparameters on its inducing subset —
+	// O(m³) — so it can afford the search at every size; the exact tier
+	// keeps its historical n ≤ 60 optimize rule bit-for-bit.
+	optimize := len(p.xs) <= 60 || tier != tune.SurrogateExact
+	m := p.sel.Refit(p.model, p.t.Kernel, tier, optimize)
+	if err := m.Fit(p.xs, p.ys, optimize); err != nil {
+		p.model = nil
+		return false
 	}
-	reopt := p.model == nil || p.round%every == 0
-	p.round++
-	if reopt {
-		tier := p.sel.TierFor(len(p.xs), p.space.Dim())
-		// The sparse and RFF tiers select hyperparameters on an inducing
-		// subset — O(m³) — so they can afford the search at every size; the
-		// exact tier keeps its historical n ≤ 60 optimize rule bit-for-bit.
-		optimize := len(p.xs) <= 60 || tier != tune.SurrogateExact
-		m := p.sel.Refit(p.model, p.t.Kernel, tier, p.t.Seed, optimize)
-		if err := m.Fit(p.xs, p.ys, optimize); err != nil {
-			p.model = nil
-			return false
-		}
-		p.model, p.absorbed = m, len(p.xs)
-		return true
-	}
-	for ; p.absorbed < len(p.xs); p.absorbed++ {
-		if err := p.model.Append(p.xs[p.absorbed], p.ys[p.absorbed]); err != nil {
-			p.model = nil
-			return false
-		}
-	}
+	p.model = m
 	return true
 }
 

@@ -132,34 +132,6 @@ func TestOtterTuneProposerPhases(t *testing.T) {
 	}
 }
 
-// TestOtterTuneReoptimizeEvery mirrors the iTuned knob: incremental GP
-// conditioning between hyper searches must stay deterministic and tune.
-func TestOtterTuneReoptimizeEvery(t *testing.T) {
-	run := func() *tune.TuningResult {
-		ot := NewOtterTune(9, nil)
-		ot.ReoptimizeEvery = 4
-		r, err := ot.Tune(context.Background(), testTarget(9), tune.Budget{Trials: 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a, b := run(), run()
-	if len(a.Trials) != len(b.Trials) {
-		t.Fatalf("trial counts differ: %d vs %d", len(a.Trials), len(b.Trials))
-	}
-	for i := range a.Trials {
-		if a.Trials[i].Config.String() != b.Trials[i].Config.String() {
-			t.Fatalf("trial %d differs between identical runs", i+1)
-		}
-	}
-	def := testTarget(9).Run(testTarget(9).Space().Default())
-	if a.BestResult.Time >= def.Time {
-		t.Errorf("ReoptimizeEvery=4 run did not improve on default: %v vs %v",
-			a.BestResult.Time, def.Time)
-	}
-}
-
 func TestOtterTuneColdStartImproves(t *testing.T) {
 	target := testTarget(5)
 	def := target.Run(target.Space().Default())

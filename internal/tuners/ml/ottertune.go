@@ -43,16 +43,10 @@ type OtterTune struct {
 	// Batch is how many candidates each GP round proposes (default 4);
 	// the concurrent engine evaluates them in parallel.
 	Batch int
-	// ReoptimizeEvery re-selects GP hyperparameters every k-th GP round;
-	// in-between rounds condition the persistent model on new observations
-	// incrementally (O(n²) bordered-Cholesky appends with frozen
-	// hyperparameters). 0 or 1 (the default) refits with hyperparameter
-	// search every round.
-	ReoptimizeEvery int
 	// Surrogate selects the GP surrogate tier and its switch-over
 	// thresholds (nil = auto with defaults). The mapped workload's
 	// observations count toward the tier decision: a large transferred
-	// corpus pushes the model into the sparse or RFF tier immediately.
+	// corpus pushes the model into the sparse tier immediately.
 	Surrogate *tune.SurrogateConfig
 
 	// LastKnobRanking records the most recent Lasso knob ranking.

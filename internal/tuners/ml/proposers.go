@@ -22,8 +22,8 @@ import (
 // otProposer is OtterTune in ask/tell form. Like the iTuned proposer, its
 // GP rounds screen a candidate pool over the active knobs with one batched
 // ScoreCandidates call and polish the best start with a local simplex
-// search; the model persists across rounds, absorbing new observations
-// incrementally between hyperparameter re-optimizations.
+// search; the exact GP persists across rounds so its hyperparameter grid
+// borders cached factors by the new rows instead of refactoring them.
 type otProposer struct {
 	t     *OtterTune
 	space *tune.Space
@@ -46,10 +46,8 @@ type otProposer struct {
 	bestX       []float64
 	incumbent   float64
 
-	model    gp.Surrogate
-	absorbed int // target observations the model has conditioned on
-	round    int // GP rounds run
-	scores   []float64
+	model  gp.Surrogate
+	scores []float64
 }
 
 // screenPool is how many candidate knob settings each GP round scores in
@@ -75,40 +73,24 @@ func (p *otProposer) embed(dst, base, sub []float64) []float64 {
 	return dst
 }
 
-// ensureModel syncs the GP with the mapped corpus plus observed history:
-// a hyperparameter-searched refit on re-optimization rounds, incremental
-// appends otherwise. Reports false when fitting failed.
+// ensureModel refits the GP on the mapped corpus plus observed history.
+// Reports false when fitting failed.
 func (p *otProposer) ensureModel() bool {
-	every := p.t.ReoptimizeEvery
-	if every < 1 {
-		every = 1
+	gx := append(append([][]float64(nil), p.mappedX...), p.xs...)
+	gy := append(append([]float64(nil), p.mappedY...), p.ys...)
+	// The transferred corpus counts toward the tier decision: mapping a
+	// thousand-trial repository session pushes the model straight into the
+	// sparse tier instead of an O(n³) exact fit.
+	tier := p.sel.TierFor(len(gx))
+	optimize := len(gx) <= 80 || tier != tune.SurrogateExact
+	// gx only grows once mapping is done, so a carried exact GP borders its
+	// grid's factors instead of refactoring them.
+	m := p.sel.Refit(p.model, gp.Matern52, tier, optimize)
+	if err := m.Fit(gx, gy, optimize); err != nil {
+		p.model = nil
+		return false
 	}
-	reopt := p.model == nil || p.round%every == 0
-	p.round++
-	if reopt {
-		gx := append(append([][]float64(nil), p.mappedX...), p.xs...)
-		gy := append(append([]float64(nil), p.mappedY...), p.ys...)
-		// The transferred corpus counts toward the tier decision: mapping a
-		// thousand-trial repository session pushes the model straight into
-		// the sparse or RFF tier instead of an O(n³) exact fit.
-		tier := p.sel.TierFor(len(gx), p.space.Dim())
-		optimize := len(gx) <= 80 || tier != tune.SurrogateExact
-		// gx only grows once mapping is done, so a carried exact GP borders
-		// its grid's factors instead of refactoring them.
-		m := p.sel.Refit(p.model, gp.Matern52, tier, p.t.Seed, optimize)
-		if err := m.Fit(gx, gy, optimize); err != nil {
-			p.model = nil
-			return false
-		}
-		p.model, p.absorbed = m, len(p.xs)
-		return true
-	}
-	for ; p.absorbed < len(p.xs); p.absorbed++ {
-		if err := p.model.Append(p.xs[p.absorbed], p.ys[p.absorbed]); err != nil {
-			p.model = nil
-			return false
-		}
-	}
+	p.model = m
 	return true
 }
 

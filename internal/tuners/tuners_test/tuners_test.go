@@ -450,7 +450,7 @@ func TestGoldenSurrogateBelowThresholdBitIdentical(t *testing.T) {
 }
 
 // TestGoldenSurrogateAboveThresholdDeterministic runs sessions that cross
-// into the sparse and RFF tiers (tiny thresholds / forced tier) and requires
+// into the sparse tier (a tiny threshold) and requires
 // the event stream to stay byte-identical at -parallel 1 vs 4 — the
 // determinism contract extends past the exact-GP wall.
 func TestGoldenSurrogateAboveThresholdDeterministic(t *testing.T) {
@@ -479,8 +479,7 @@ func TestGoldenSurrogateAboveThresholdDeterministic(t *testing.T) {
 		name string
 		cfg  *repro.SurrogateSpec
 	}{
-		{"sparse", &repro.SurrogateSpec{SparseAbove: 8, RFFAbove: 1500, Inducing: 8}},
-		{"rff", &repro.SurrogateSpec{Tier: "rff", Features: 64}},
+		{"sparse", &repro.SurrogateSpec{SparseAbove: 8, Inducing: 8}},
 	}
 	for _, tuner := range []string{"ituned", "ottertune"} {
 		for _, tc := range configs {

@@ -87,9 +87,9 @@ type Spec struct {
 	// workload (e.g. dbms "oltp-olap-shift" or "diurnal").
 	DriftDetect bool `json:"drift_detect,omitempty"`
 	// Surrogate selects the GP surrogate tier for the model-based tuners
-	// (ituned, ottertune) and the trial-count thresholds at which a session
-	// switches exact → sparse → RFF. nil means auto with default
-	// thresholds; below the sparse threshold the exact tier runs the
+	// (ituned, ottertune) and the trial-count threshold at which a session
+	// switches exact → sparse. nil means auto with the default
+	// threshold; below it the exact tier runs the
 	// historical code path, so sessions recorded without this field replay
 	// byte-identically. Carried on the wire form so a recorded spec pins
 	// its tier schedule.

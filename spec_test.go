@@ -25,14 +25,11 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 			ScaleGB: 80, Nodes: 32, Heterogeneous: true,
 			TenantLoad: 0.3, FullSparkSpace: true,
 		},
-		Proxy:    &ProxySpec{ScaleGB: 4, Nodes: 4},
-		Parallel: 4,
-		Memo:     true,
-		Fidelity: &FidelitySpec{Strategy: "hyperband", Min: 0.1, Eta: 2.5},
-		Surrogate: &SurrogateSpec{
-			Tier: "auto", SparseAbove: 200, RFFAbove: 2000,
-			Inducing: 48, Features: 256,
-		},
+		Proxy:     &ProxySpec{ScaleGB: 4, Nodes: 4},
+		Parallel:  4,
+		Memo:      true,
+		Fidelity:  &FidelitySpec{Strategy: "hyperband", Min: 0.1, Eta: 2.5},
+		Surrogate: &SurrogateSpec{Tier: "auto", SparseAbove: 200, Inducing: 48},
 	}
 	data, err := json.Marshal(spec)
 	if err != nil {
@@ -46,7 +43,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		t.Errorf("round trip changed the spec:\n  in:  %+v\n  out: %+v", spec, back)
 	}
 	// Wire names stay snake_case: remote clients program against them.
-	for _, key := range []string{`"system"`, `"workload"`, `"tuner"`, `"seed"`, `"budget"`, `"trials"`, `"sim_time"`, `"scale_gb"`, `"tenant_load"`, `"full_spark_space"`, `"proxy"`, `"parallel"`, `"memo"`, `"fidelity"`, `"strategy"`, `"eta"`, `"surrogate"`, `"sparse_above"`, `"rff_above"`, `"inducing"`, `"features"`} {
+	for _, key := range []string{`"system"`, `"workload"`, `"tuner"`, `"seed"`, `"budget"`, `"trials"`, `"sim_time"`, `"scale_gb"`, `"tenant_load"`, `"full_spark_space"`, `"proxy"`, `"parallel"`, `"memo"`, `"fidelity"`, `"strategy"`, `"eta"`, `"surrogate"`, `"sparse_above"`, `"inducing"`} {
 		if !bytes.Contains(data, []byte(key)) {
 			t.Errorf("spec JSON missing %s: %s", key, data)
 		}
@@ -81,7 +78,7 @@ func TestSpecValidate(t *testing.T) {
 		{func(s *Spec) { s.Fidelity = &FidelitySpec{Eta: 50} }, "fidelity eta"},
 		{func(s *Spec) { s.Surrogate = &SurrogateSpec{Tier: "kriging"} }, "unknown surrogate tier"},
 		{func(s *Spec) { s.Surrogate = &SurrogateSpec{SparseAbove: -3} }, "non-negative"},
-		{func(s *Spec) { s.Surrogate = &SurrogateSpec{SparseAbove: 500, RFFAbove: 100} }, "rff_above"},
+		{func(s *Spec) { s.Surrogate = &SurrogateSpec{Tier: "rff"} }, "unknown surrogate tier"},
 	}
 	for _, c := range cases {
 		spec := ok
